@@ -1,5 +1,6 @@
 // Hot-path perf-regression harness: times the allocation-lean kernels
-// (coalesce, wire pack/unpack, membership split) and the pooled collectives
+// (coalesce, wire pack/unpack, membership split), the dense backward's
+// matmul_nt and the top-k codec's encode, and the pooled collectives
 // over a 4-rank in-process cluster, then dumps every number as a gauge to
 // BENCH_hotpath.json. CI diffs the *_us gauges against the checked-in
 // bench/baseline_hotpath.json (>2x = regression) and asserts that the
@@ -15,12 +16,14 @@
 
 #include "bench_json.h"
 #include "comm/cluster.h"
+#include "comm/codec.h"
 #include "comm/communicator.h"
 #include "comm/sparse_collectives.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "obs/metrics.h"
+#include "tensor/linalg.h"
 #include "tensor/sparse_rows.h"
 
 using namespace embrace;
@@ -106,6 +109,26 @@ int main() {
            }));
     record("row_density{nnz=16384}",
            best_of(9, [&] { (void)co.row_density(); }));
+  }
+
+  {
+    // Linear::backward's dx = dy * W^T at a classifier head's shape.
+    Rng rng(17);
+    const Tensor dy = Tensor::randn({32, 200}, rng);
+    const Tensor w = Tensor::randn({256, 200}, rng);
+    record("matmul_nt{m=32,k=200,n=256}",
+           best_of(9, [&] { (void)matmul_nt(dy, w); }));
+  }
+  {
+    // The default top-k fraction over a gradient-sized block.
+    const auto codec = make_codec(CodecKind::kTopK, 0.2);
+    Rng rng(19);
+    const Tensor values = Tensor::randn({65536}, rng);
+    std::vector<std::byte> wire(
+        static_cast<size_t>(codec->encoded_bytes(values.numel())));
+    record("topk_encode{n=65536}", best_of(9, [&] {
+             codec->encode_into(values.flat(), wire.data());
+           }));
   }
 
   // --- pooled collectives (4 ranks, real threads) ---

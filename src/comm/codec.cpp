@@ -1,10 +1,10 @@
 #include "comm/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -155,12 +155,53 @@ class CastCodec final : public Codec {
 using Fp16Codec = CastCodec<float_to_half, half_to_float, CodecKind::kFp16>;
 using Bf16Codec = CastCodec<float_to_bf16, bf16_to_float, CodecKind::kBf16>;
 
+// Top-k selection key: the IEEE bits with the sign cleared. Keys of non-NaN
+// values order exactly as |v| does (+0 and -0 share key 0, subnormals sit
+// below the normals), and every NaN keys above +-inf.
+uint32_t magnitude_key(float v) {
+  return std::bit_cast<uint32_t>(v) & 0x7fffffffu;
+}
+
+// Where the top k of a block ends: every key above `key` is kept, plus the
+// `ties` lowest-offset keys equal to it.
+struct TopKCut {
+  uint32_t key;
+  int64_t ties;
+};
+
+// Finds the cut for the k largest keys of src (1 <= k <= n) by most-
+// significant-digit radix select over the 31 key bits in 11/10/10-bit
+// digits. Each pass histograms the next digit of the keys that match the
+// digits fixed so far and walks down from the top bucket to the one the
+// k-th key falls in; scratch is one 8 KiB histogram, whatever n is.
+TopKCut topk_cut(std::span<const float> src, int64_t k) {
+  constexpr int kDigitBits[] = {11, 10, 10};
+  uint32_t prefix = 0;
+  uint32_t prefix_mask = 0;
+  int shift = 31;
+  int64_t need = k;  // still to take among the keys matching `prefix`
+  for (const int bits : kDigitBits) {
+    shift -= bits;
+    const uint32_t digit_mask = (1u << bits) - 1u;
+    std::array<uint32_t, 1u << 11> hist{};
+    for (const float v : src) {
+      const uint32_t key = magnitude_key(v);
+      if ((key & prefix_mask) == prefix) ++hist[(key >> shift) & digit_mask];
+    }
+    uint32_t digit = digit_mask;
+    while (hist[digit] < need) need -= hist[digit--];
+    prefix |= digit << shift;
+    prefix_mask |= digit_mask << shift;
+  }
+  return {prefix, need};
+}
+
 // Top-k sparsification. Wire layout:
 //   [kept : int64][kept x offset : uint32][kept x value : float]
 // with offsets ascending. kept = clamp(ceil(fraction * elems), 1, elems)
 // depends only on the element count, so encoded_bytes stays value-free;
-// which offsets survive is decided by |value| with lower-offset ties winning
-// — a total order, hence deterministic across ranks.
+// which offsets survive is decided by magnitude_key with lower-offset ties
+// winning — a total order, hence deterministic across ranks.
 class TopKCodec final : public Codec {
  public:
   explicit TopKCodec(double fraction) : fraction_(fraction) {
@@ -185,26 +226,24 @@ class TopKCodec final : public Codec {
   void encode_into(std::span<const float> src, std::byte* dst) const override {
     const int64_t n = static_cast<int64_t>(src.size());
     const int64_t k = kept(n);
-    order_.resize(static_cast<size_t>(n));
-    std::iota(order_.begin(), order_.end(), 0u);
-    const auto larger = [&src](uint32_t a, uint32_t b) {
-      const float ma = std::fabs(src[a]);
-      const float mb = std::fabs(src[b]);
-      if (ma != mb) return ma > mb;
-      return a < b;
-    };
-    if (k < n) {
-      std::nth_element(order_.begin(), order_.begin() + k, order_.end(),
-                       larger);
-    }
-    // Offsets go out ascending so decode scatters sequentially.
-    std::sort(order_.begin(), order_.begin() + k);
     std::memcpy(dst, &k, 8);
-    dst += 8;
-    std::memcpy(dst, order_.data(), static_cast<size_t>(k) * 4);
-    std::byte* values = dst + k * 4;
-    for (int64_t i = 0; i < k; ++i) {
-      std::memcpy(values + i * 4, &src[order_[static_cast<size_t>(i)]], 4);
+    std::byte* offsets = dst + 8;
+    std::byte* values = offsets + k * 4;
+    const TopKCut cut = k < n ? topk_cut(src, k) : TopKCut{0, n};
+    // One ascending scan emits exactly k survivors, so offsets go out sorted
+    // and decode scatters sequentially.
+    int64_t ties = cut.ties;
+    for (int64_t i = 0, out = 0; out < k; ++i) {
+      const uint32_t key = magnitude_key(src[static_cast<size_t>(i)]);
+      if (key < cut.key) continue;
+      if (key == cut.key) {
+        if (ties == 0) continue;
+        --ties;
+      }
+      const auto off = static_cast<uint32_t>(i);
+      std::memcpy(offsets + out * 4, &off, 4);
+      std::memcpy(values + out * 4, &src[static_cast<size_t>(i)], 4);
+      ++out;
     }
   }
 
@@ -232,9 +271,6 @@ class TopKCodec final : public Codec {
 
  private:
   double fraction_;
-  // Scratch for the selection; a codec instance is used from one rank
-  // thread at a time (each rank builds its own), so plain mutable is fine.
-  mutable std::vector<uint32_t> order_;
 };
 
 }  // namespace

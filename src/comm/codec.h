@@ -14,6 +14,10 @@
 //     bytes on every rank), so collectives that re-encode partial sums
 //     (recursive doubling, ring reduce) remain bitwise-reproducible.
 //   * decode(encode(x)) == x bitwise when lossless() is true.
+//   * codecs hold no mutable state: every method is const and keeps its
+//     scratch on the caller's stack, so one instance is safe to share across
+//     threads (the trainer's worker and comm threads encode through the same
+//     codec concurrently).
 #pragma once
 
 #include <cstdint>

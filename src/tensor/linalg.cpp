@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
 
@@ -29,6 +30,28 @@ void gemm_acc(const float* a, const float* b, float* out, int64_t m,
       }
     }
   }
+}
+
+// kRows output rows of C = A * B^T against bt = B^T (K x N): one row of
+// double accumulators per output row, swept over c in order, so each output
+// is the in-order double sum of float products that a scalar dot product
+// forms (the products are exact in double, so the sum rounds the same way
+// even if the compiler fuses multiply and add). The j loop has no carried
+// dependency and vectorises; every bt element loaded serves kRows rows.
+template <int kRows>
+void nt_rows(const float* a, const float* bt, double* acc, float* out,
+             int64_t k, int64_t n) {
+  std::fill(acc, acc + kRows * n, 0.0);
+  for (int64_t c = 0; c < k; ++c) {
+    double av[kRows] = {};
+    for (int r = 0; r < kRows; ++r) av[r] = a[r * k + c];
+    const float* bt_row = bt + c * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const double bv = bt_row[j];
+      for (int r = 0; r < kRows; ++r) acc[r * n + j] += av[r] * bv;
+    }
+  }
+  for (int64_t i = 0; i < kRows * n; ++i) out[i] = static_cast<float>(acc[i]);
 }
 }  // namespace
 
@@ -72,28 +95,38 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   EMBRACE_CHECK_EQ(a.dim(), 2);
   EMBRACE_CHECK_EQ(b.dim(), 2);
   EMBRACE_CHECK_EQ(a.cols(), b.cols(), << "matmul_nt shared dim");
-  Tensor out({a.rows(), b.rows()});
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    const float* a_row = a.data() + i * a.cols();
-    float* out_row = out.data() + i * b.rows();
-    for (int64_t j = 0; j < b.rows(); ++j) {
-      const float* b_row = b.data() + j * b.cols();
-      double acc = 0.0;
-      for (int64_t c = 0; c < a.cols(); ++c) {
-        acc += static_cast<double>(a_row[c]) * b_row[c];
-      }
-      out_row[j] = static_cast<float>(acc);
-    }
+  const int64_t m = a.rows(), k = a.cols(), n = b.rows();
+  Tensor out({m, n});
+  const Tensor bt = transpose(b);
+  constexpr int kRows = 4;
+  std::vector<double> acc(static_cast<size_t>(kRows * n));
+  int64_t i = 0;
+  for (; i + kRows <= m; i += kRows) {
+    nt_rows<kRows>(a.data() + i * k, bt.data(), acc.data(),
+                   out.data() + i * n, k, n);
+  }
+  for (; i < m; ++i) {
+    nt_rows<1>(a.data() + i * k, bt.data(), acc.data(), out.data() + i * n,
+               k, n);
   }
   return out;
 }
 
 Tensor transpose(const Tensor& a) {
   EMBRACE_CHECK_EQ(a.dim(), 2);
-  Tensor out({a.cols(), a.rows()});
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t j = 0; j < a.cols(); ++j) {
-      out.data()[j * a.rows() + i] = a.data()[i * a.cols() + j];
+  const int64_t rows = a.rows(), cols = a.cols();
+  Tensor out({cols, rows});
+  const float* src = a.data();
+  float* dst = out.data();
+  // Square tiles keep both the rows read and the rows written in cache.
+  constexpr int64_t kTile = 32;
+  for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
+    const int64_t i1 = std::min(i0 + kTile, rows);
+    for (int64_t j0 = 0; j0 < cols; j0 += kTile) {
+      const int64_t j1 = std::min(j0 + kTile, cols);
+      for (int64_t i = i0; i < i1; ++i) {
+        for (int64_t j = j0; j < j1; ++j) dst[j * rows + i] = src[i * cols + j];
+      }
     }
   }
   return out;

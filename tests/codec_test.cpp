@@ -5,9 +5,13 @@
 // collectives against a dense oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "comm/cluster.h"
@@ -205,6 +209,141 @@ TEST(Codec, TopKEncodeIsDeterministic) {
   // Projection idempotence.
   const auto proj = roundtrip(*c, data);
   EXPECT_TRUE(bitwise_equal(roundtrip(*c, proj), proj));
+}
+
+// Reference top-k: nth_element over the offsets by (|v| desc, offset asc),
+// then sort the kept offsets. The codec must match its wire bytes bit for
+// bit. The comparator is a strict weak order only on NaN-free input, so the
+// reference covers that domain. The kept count comes from the codec (pinned
+// by TopKKeptCountIsValueFreeAndClamped).
+std::vector<std::byte> topk_reference(const Codec& c,
+                                      std::span<const float> src) {
+  const auto n = static_cast<int64_t>(src.size());
+  const int64_t k = (c.encoded_bytes(n) - 8) / 8;
+  std::vector<uint32_t> order(src.size());
+  std::iota(order.begin(), order.end(), 0u);
+  const auto larger = [&src](uint32_t a, uint32_t b) {
+    const float ma = std::fabs(src[a]);
+    const float mb = std::fabs(src[b]);
+    if (ma != mb) return ma > mb;
+    return a < b;
+  };
+  if (k < n) {
+    std::nth_element(order.begin(), order.begin() + k, order.end(), larger);
+  }
+  std::sort(order.begin(), order.begin() + k);
+  std::vector<std::byte> wire(static_cast<size_t>(8 + k * 8));
+  std::memcpy(wire.data(), &k, 8);
+  for (int64_t i = 0; i < k; ++i) {
+    const uint32_t off = order[static_cast<size_t>(i)];
+    std::memcpy(wire.data() + 8 + i * 4, &off, 4);
+    std::memcpy(wire.data() + 8 + k * 4 + i * 4, &src[off], 4);
+  }
+  return wire;
+}
+
+// A block drawn from a small pool of awkward values (signed zeros,
+// subnormals, infinities, one repeated magnitude) mixed with random floats,
+// so most blocks carry ties at the cut.
+std::vector<float> awkward_block(int64_t elems, Rng& rng) {
+  const float pool[] = {0.0f,
+                        -0.0f,
+                        1.0f,
+                        -1.0f,
+                        std::numeric_limits<float>::denorm_min(),
+                        -std::bit_cast<float>(0x007fffffu),  // largest subnormal
+                        std::numeric_limits<float>::min(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::max()};
+  std::vector<float> v(static_cast<size_t>(elems));
+  for (auto& x : v) {
+    const uint64_t pick = rng.next_below(16);
+    x = pick < 10 ? pool[pick]
+                  : static_cast<float>(rng.next_double(-2.0, 2.0));
+  }
+  return v;
+}
+
+TEST(Codec, TopKMatchesSortSelectionOracleBitwise) {
+  // 1e-9 keeps one element of any block, 1.0 keeps them all.
+  const double fractions[] = {1e-9, 0.01, 0.2, 0.5, 0.99, 1.0};
+  Rng rng(2024);
+  for (int trial = 0; trial < 600; ++trial) {
+    const int64_t n = trial < 60 ? trial % 3 : rng.next_int(3, 300);
+    const auto data = awkward_block(n, rng);
+    for (const double f : fractions) {
+      const auto c = make_codec(CodecKind::kTopK, f);
+      ASSERT_EQ(encode_block(*c, data), topk_reference(*c, data))
+          << "n " << n << " fraction " << f << " trial " << trial;
+    }
+  }
+  // Equal magnitudes throughout: the cut is one long run of ties.
+  for (const int64_t n : {int64_t{1}, int64_t{2}, int64_t{7}, int64_t{4096}}) {
+    std::vector<float> same(static_cast<size_t>(n));
+    for (size_t i = 0; i < same.size(); ++i) same[i] = i % 2 ? -0.5f : 0.5f;
+    for (const double f : fractions) {
+      const auto c = make_codec(CodecKind::kTopK, f);
+      EXPECT_EQ(encode_block(*c, same), topk_reference(*c, same))
+          << "n " << n << " fraction " << f;
+    }
+  }
+  // Large blocks: gradient-like values, and coarsely quantized ones whose
+  // ties straddle every radix digit.
+  const auto smooth = random_block(65536, 5, -1e-3, 1e-3);
+  std::vector<float> coarse = random_block(65536, 6);
+  for (auto& x : coarse) x = std::round(x * 8.0f) / 8.0f;
+  for (const std::vector<float>& data : {smooth, coarse}) {
+    for (const double f : fractions) {
+      const auto c = make_codec(CodecKind::kTopK, f);
+      EXPECT_EQ(encode_block(*c, data), topk_reference(*c, data))
+          << "fraction " << f;
+    }
+  }
+}
+
+TEST(Codec, TopKRanksNaNAboveEveryNumber) {
+  // NaN has no magnitude order; top-k ranks it by its sign-cleared bits,
+  // which puts every NaN above +-inf, so a NaN in a gradient always reaches
+  // the wire instead of being silently dropped. Equal NaN keys (a NaN and
+  // its negation) tie toward the lower offset like any other key.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> data = {1.0f, -inf, -nan, 3.0f, nan, inf};
+  const auto keep1 = roundtrip(*make_codec(CodecKind::kTopK, 0.1), data);
+  EXPECT_EQ(std::bit_cast<uint32_t>(keep1[2]), std::bit_cast<uint32_t>(-nan));
+  EXPECT_EQ(std::count(keep1.begin(), keep1.end(), 0.0f), 5);
+
+  const auto keep3 = roundtrip(*make_codec(CodecKind::kTopK, 0.5), data);
+  const std::vector<float> want = {0.0f, -inf, -nan, 0.0f, nan, 0.0f};
+  EXPECT_TRUE(bitwise_equal(keep3, want));
+}
+
+TEST(Codec, SharedTopKInstanceIsThreadSafe) {
+  // Codecs are stateless, so threads may encode through one instance at
+  // once (the trainer's worker and comm threads do) and each must get what
+  // a serial encode gives.
+  const auto c = make_codec(CodecKind::kTopK, 0.2);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<float>> blocks;
+  std::vector<std::vector<std::byte>> serial;
+  for (int t = 0; t < kThreads; ++t) {
+    blocks.push_back(random_block(1000 + 777 * t, 100 + t));
+    serial.push_back(encode_block(*c, blocks.back()));
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 200; ++rep) {
+        const auto& block = blocks[static_cast<size_t>((t + rep) % kThreads)];
+        const auto& want = serial[static_cast<size_t>((t + rep) % kThreads)];
+        if (encode_block(*c, block) != want) ++mismatches[static_cast<size_t>(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
 }
 
 TEST(Codec, WireBytesPerValue) {

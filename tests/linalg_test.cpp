@@ -2,7 +2,10 @@
 // transposed-product kernels with explicit transpose + matmul.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -44,6 +47,30 @@ TEST(Linalg, MatmulAccAccumulates) {
   EXPECT_FLOAT_EQ(out[0], 15.0f);
 }
 
+// Reference matmul_nt: one scalar dot product per output, summed over c in
+// order in double and rounded once to float. The kernel must match it bit
+// for bit.
+Tensor matmul_nt_reference(const Tensor& a, const Tensor& b) {
+  Tensor out({a.rows(), b.rows()});
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (int64_t c = 0; c < a.cols(); ++c) {
+        acc += static_cast<double>(a.at({i, c})) * b.at({j, c});
+      }
+      out.at({i, j}) = static_cast<float>(acc);
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<size_t>(a.byte_size())) == 0);
+}
+
 TEST(Linalg, TransposedKernelsMatchExplicitTranspose) {
   Rng rng(42);
   Tensor a = Tensor::randn({5, 7}, rng);
@@ -58,6 +85,33 @@ TEST(Linalg, TransposedKernelsMatchExplicitTranspose) {
   Tensor via_nt = matmul_nt(a, c);
   Tensor ref_nt = matmul(a, transpose(c));
   EXPECT_LT(via_nt.max_abs_diff(ref_nt), 1e-4f);
+  EXPECT_TRUE(bitwise_equal(via_nt, matmul_nt_reference(a, c)));
+}
+
+TEST(Linalg, MatmulNtBitwiseMatchesScalarDotProducts) {
+  // Odd and degenerate shapes (1x1, an empty inner dimension, no rows,
+  // row counts off the 4-row block), a classifier head's shape, then
+  // random ones. Wide value ranges with cancellation make any change of
+  // summation order or precision show in the low bits.
+  std::vector<std::array<int64_t, 3>> shapes = {
+      {1, 1, 1}, {3, 0, 5},   {0, 4, 3},      {5, 7, 1},
+      {4, 9, 6}, {7, 13, 31}, {32, 200, 256}, {33, 64, 17}};
+  Rng rng(99);
+  for (int i = 0; i < 60; ++i) {
+    shapes.push_back({rng.next_int(0, 11), rng.next_int(0, 70),
+                      rng.next_int(0, 40)});
+  }
+  for (const auto& [m, k, n] : shapes) {
+    Tensor a = Tensor::randn({m, k}, rng, 100.0f);
+    Tensor b = Tensor::randn({n, k}, rng);
+    // Zeros of both signs and subnormals in the operands as well.
+    for (int64_t e = 0; e < a.numel(); e += 5) a[e] = e % 2 ? -0.0f : 0.0f;
+    for (int64_t e = 3; e < b.numel(); e += 7) {
+      b[e] = std::numeric_limits<float>::denorm_min() * static_cast<float>(e);
+    }
+    EXPECT_TRUE(bitwise_equal(matmul_nt(a, b), matmul_nt_reference(a, b)))
+        << m << "x" << k << " * (" << n << "x" << k << ")^T";
+  }
 }
 
 TEST(Linalg, TransposeRoundTrip) {

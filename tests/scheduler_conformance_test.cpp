@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <thread>
@@ -31,7 +32,6 @@ namespace embrace::sched {
 namespace {
 
 using TestBody = std::function<void(Scheduler&)>;
-using Runner = void (*)(const TestBody&);
 
 void run_with_comm(const TestBody& body) {
   CommScheduler scheduler;
@@ -60,6 +60,17 @@ OpDesc desc(std::string name, double priority, OpKind kind = OpKind::kOther) {
 }
 
 int64_t preemptions() { return obs::counter("sched.preemptions").value(); }
+
+// The test parameter: a named scheduler backend. gtest prints the parameter
+// into every listed test name, so it prints as its name — a bare function
+// pointer would print as its load address, which changes from run to run.
+struct Runner {
+  const char* name;
+  void (*run)(const TestBody&);
+  void operator()(const TestBody& body) const { run(body); }
+};
+
+void PrintTo(const Runner& runner, std::ostream* os) { *os << runner.name; }
 
 struct Conformance : ::testing::TestWithParam<Runner> {};
 
@@ -215,10 +226,10 @@ TEST_P(Conformance, InvalidSubmissionsAreRejected) {
 
 INSTANTIATE_TEST_SUITE_P(
     BothSchedulers, Conformance,
-    ::testing::Values(&run_with_comm, &run_with_negotiated),
+    ::testing::Values(Runner{"CommScheduler", &run_with_comm},
+                      Runner{"NegotiatedScheduler", &run_with_negotiated}),
     [](const ::testing::TestParamInfo<Runner>& param_info) {
-      return param_info.param == &run_with_comm ? "CommScheduler"
-                                                : "NegotiatedScheduler";
+      return std::string(param_info.param.name);
     });
 
 // The end-to-end preemption contract: on a real 4-rank cluster, a chunked

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 #include "embrace/strategy.h"
@@ -313,6 +315,34 @@ TEST(Trainer, MultiTableLossDiffersFromSingleTable) {
   EXPECT_TRUE(any_diff);
 }
 
+
+TEST(Trainer, EmbRaceTopKTwoTablesIsBitwiseRepeatable) {
+  // EmbRace with two tables runs error feedback for table t+1 on the worker
+  // thread while the comm thread encodes table t through the same top-k
+  // codec, so any mutable scratch in the codec races: runs end on different
+  // losses, hang, or throw "topk offset N out of range". Top-k with error
+  // feedback is deterministic, so every repeat must reproduce the first
+  // run's losses bit for bit. The deadline turns a hang into a throw.
+  TrainConfig cfg = base_config();
+  cfg.strategy = StrategyKind::kEmbRace;
+  cfg.num_tables = 2;
+  cfg.codec = CodecKind::kTopK;
+  cfg.recv_timeout_ms = 20000;
+  constexpr int kWorkers = 4;
+  constexpr int kRepeats = 20;
+  const auto first = run_distributed(cfg, kWorkers);
+  ASSERT_EQ(first.losses.size(), static_cast<size_t>(cfg.steps));
+  for (int rep = 1; rep < kRepeats; ++rep) {
+    TrainStats again;
+    ASSERT_NO_THROW(again = run_distributed(cfg, kWorkers)) << "repeat " << rep;
+    ASSERT_EQ(again.losses.size(), first.losses.size());
+    for (size_t i = 0; i < first.losses.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(again.losses[i]),
+                std::bit_cast<uint32_t>(first.losses[i]))
+          << "repeat " << rep << " step " << i;
+    }
+  }
+}
 
 TEST(Trainer, EmbRaceCorrectUnderDeliveryJitter) {
   // Failure injection: random per-message delivery delays skew thread
