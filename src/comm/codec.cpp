@@ -111,14 +111,16 @@ class IdentityCodec final : public Codec {
   CodecKind kind() const override { return CodecKind::kIdentity; }
   bool lossless() const override { return true; }
   int64_t encoded_bytes(int64_t elems) const override { return elems * 4; }
+  // Empty spans may carry a null data(); memcpy's pointer args must be
+  // non-null even for size 0.
   void encode_into(std::span<const float> src, std::byte* dst) const override {
-    std::memcpy(dst, src.data(), src.size_bytes());
+    if (!src.empty()) std::memcpy(dst, src.data(), src.size_bytes());
   }
   void decode(std::span<const std::byte> src,
               std::span<float> dst) const override {
     EMBRACE_CHECK(src.size() == dst.size_bytes(),
                   << "identity payload size mismatch");
-    std::memcpy(dst.data(), src.data(), src.size());
+    if (!src.empty()) std::memcpy(dst.data(), src.data(), src.size());
   }
 };
 

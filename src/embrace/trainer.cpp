@@ -1,5 +1,5 @@
 // Functional distributed trainer: real worker threads, real tensors, real
-// collectives. Implements the five strategies of strategy.h over the
+// collectives. Implements the six strategies of strategy.h over the
 // in-process cluster runtime, with EmbRace's hybrid communication and 2D
 // scheduling exactly as the paper describes them (paper §4, §5.1):
 //   * column-partitioned embeddings with two AlltoAll passes per step,
@@ -7,7 +7,7 @@
 //   * Algorithm 1's prior/delayed gradient split with the modified Adam.
 //
 // Synchronous-training contract: every strategy applies, per step, the
-// average of all workers' gradients — so all five produce (up to float
+// average of all workers' gradients — so all six produce (up to float
 // summation order) identical loss curves, which equivalence tests pin
 // against the single-process oracle.
 #include "embrace/strategy.h"
@@ -281,9 +281,6 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
   }
   comm::CommGroup* grp = comm_group.has_value() ? &*comm_group : nullptr;
   sched::NegotiatedScheduler scheduler(comm.channel(kControlChannel));
-  // All submissions go through the shared Scheduler interface; only the
-  // lifecycle calls (shutdown/abort) are NegotiatedScheduler-specific.
-  sched::Scheduler& sch = scheduler;
   // Sparse-algorithm picker for kHorovodAllGather's embedding gradients
   // (DESIGN.md §12). Cost params are fixed for the whole run and must be
   // identical on every rank (a split-brain algorithm choice deadlocks the
@@ -522,7 +519,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
         // ("Emb Data"), ordered after the previous step's prior/delayed ops —
         // the dependency the paper's Figure 6(c) encodes.
         for (int t = 0; t < tables; ++t) {
-          handles.push_back(sch.submit(
+          handles.push_back(scheduler.submit(
               make_desc(emb_op("embdata", step, t),
                         fifo ? fifo_priority() : Priorities::embdata(step, t),
                         static_cast<int64_t>(seg.ids[t].size()) * cfg.dim *
@@ -608,26 +605,22 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
         // codec active the flat path rides the chunked ring at chunk 0
         // (one slice per step, encoded wire); without one it keeps the
         // legacy monolithic collective byte-for-byte.
-        return sch.submit(std::move(desc),
-                          [&comm_ch, grp, dense_codec,
-                           chunk_bytes = cfg.chunk_bytes,
-                           prepare = std::move(prepare),
-                           finish = std::move(finish)] {
-                            std::span<float> flat = prepare();
-                            if (grp != nullptr && grp->two_level()) {
-                              comm::hierarchical_allreduce(
-                                  *grp, flat, comm::ReduceOp::kSum,
-                                  dense_codec, chunk_bytes);
-                            } else if (dense_codec != nullptr) {
-                              comm::allreduce_chunked(comm_ch, flat,
-                                                      chunk_bytes,
-                                                      comm::ReduceOp::kSum,
-                                                      dense_codec);
-                            } else {
-                              comm_ch.allreduce(flat);
-                            }
-                            finish();
-                          });
+        return scheduler.submit(
+            std::move(desc),
+            [&comm_ch, grp, dense_codec, chunk_bytes = cfg.chunk_bytes,
+             prepare = std::move(prepare), finish = std::move(finish)] {
+              std::span<float> flat = prepare();
+              if (grp != nullptr && grp->two_level()) {
+                comm::hierarchical_allreduce(*grp, flat, comm::ReduceOp::kSum,
+                                             dense_codec, chunk_bytes);
+              } else if (dense_codec != nullptr) {
+                comm::allreduce_chunked(comm_ch, flat, chunk_bytes,
+                                        comm::ReduceOp::kSum, dense_codec);
+              } else {
+                comm_ch.allreduce(flat);
+              }
+              finish();
+            });
       }
       const int64_t slices = comm::ChunkedAllReduce::num_quanta(
           elems, workers, cfg.chunk_bytes);
@@ -635,7 +628,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
         std::optional<comm::ChunkedAllReduce> ar;
       };
       auto cursor = std::make_shared<Cursor>();
-      return sch.submit(
+      return scheduler.submit(
           std::move(desc), slices,
           [&comm_ch, cursor, slices, chunk_bytes = cfg.chunk_bytes,
            dense_codec, prepare = std::move(prepare),
@@ -716,7 +709,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           static_cast<int64_t>(my_grad.packed_byte_size());
       switch (cfg.strategy) {
         case StrategyKind::kHorovodAllReduce: {
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         my_grad.dense_byte_size(), sched::OpKind::kOther),
               [&, t, my_grad] {
@@ -749,7 +742,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           break;
         }
         case StrategyKind::kHorovodAllGather: {
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         grad_bytes, sched::OpKind::kOther),
               [&, t, my_grad] {
@@ -808,7 +801,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           break;
         }
         case StrategyKind::kParallaxPs: {
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         grad_bytes, sched::OpKind::kOther),
               [&, t, my_grad] { shared.ps[t]->push_sparse(my_grad); }));
@@ -817,7 +810,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
         case StrategyKind::kBytePsDense: {
           // ByteScheduler priority: the embedding is what the next FP needs
           // first, so its (dense-format) push jumps the dense-block queue.
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t),
                         Priorities::prior(step, t), my_grad.dense_byte_size(),
                         sched::OpKind::kSparsePrior),
@@ -835,7 +828,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
             my_grad = my_grad.coalesced();
             sparse_ef[static_cast<size_t>(t)].apply(my_grad, *codec);
           }
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         grad_bytes, sched::OpKind::kOther),
               [&, t, my_grad, codec] {
@@ -868,7 +861,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
               static_cast<int64_t>(split.prior.packed_byte_size());
           const int64_t delayed_bytes =
               static_cast<int64_t>(split.delayed.packed_byte_size());
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("prior", step, t), Priorities::prior(step, t),
                         prior_bytes, sched::OpKind::kSparsePrior),
               [&, t, codec, prior = std::move(split.prior)] {
@@ -881,7 +874,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           // The delayed part fills the queue's tail; its step-scoped
           // priority keeps it ahead of the next step's ops (the modified
           // Adam requires delayed(s) to land before prior(s+1)).
-          sch.submit(
+          scheduler.submit(
               make_desc(emb_op("delayed", step, t),
                         Priorities::delayed(step, t), delayed_bytes,
                         sched::OpKind::kSparseDelayed),
@@ -908,7 +901,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
       // Bytes are the budget-rows ceiling, not hot_count(): cache state
       // belongs to the comm thread, and the previous step's hotsync may
       // still be mutating it while this thread submits.
-      sch.submit(
+      scheduler.submit(
           make_desc(emb_op("hotsync", step, t),
                     fifo ? fifo_priority() : Priorities::hotsync(step, t),
                     cache_budget * cfg.dim *

@@ -1,24 +1,17 @@
-// Unified scheduler surface shared by CommScheduler (declared-order comm
-// thread) and NegotiatedScheduler (leader-negotiated distributed order).
-//
-// Both schedulers execute communication ops on a dedicated comm thread; the
-// trainer and the conformance tests program either one through this
-// interface without branching on the concrete type. Ops are described by a
-// typed OpDesc (name, priority, payload bytes, kind) instead of encoding
-// priority and size into name strings.
+// Scheduler vocabulary: the typed op descriptor (name, priority, payload
+// bytes, kind), the waitable completion handle, the completion record and
+// the lifecycle error. NegotiatedScheduler (negotiated_scheduler.h) is the
+// scheduler that executes ops; this header is what callers that only
+// describe ops or read the execution log need.
 //
 // Chunk granularity (DESIGN.md §10). An op may be submitted as `slices`
 // ordered quanta: the scheduler calls body(0), body(1), ... body(slices-1)
 // in strictly increasing order, but between two quanta it is free to run
-// slices of other, more urgent ops — a late-arriving high-priority op
-// preempts an in-flight chunked transfer at a chunk boundary instead of
-// waiting behind the whole thing. Every preemption (switching away from a
-// partially-executed op) bumps the "sched.preemptions" counter. Handles
-// complete when the final slice finishes; if any slice throws, the op fails
-// with that exception and the remaining slices never run.
+// slices of other, more urgent ops. Handles complete when the final slice
+// finishes; if any slice throws, the op fails with that exception and the
+// remaining slices never run.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -26,15 +19,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/error.h"
 
 namespace embrace::sched {
 
 // Thrown for scheduler-lifecycle failures: an op abandoned because an
-// earlier op threw, a handle orphaned by scheduler destruction, or a
-// submission into a failed/stopped scheduler.
+// earlier op threw or the scheduler was aborted, or a submission into a
+// failed/aborted scheduler.
 class SchedulerError : public Error {
  public:
   explicit SchedulerError(const std::string& what) : Error(what) {}
@@ -65,8 +57,8 @@ struct ExecRecord {
 };
 
 // Typed op descriptor. Lower priority value = more urgent; ties break by
-// submission order. `name` must be unique among unexecuted ops (and, for
-// NegotiatedScheduler, identical across ranks for the same logical op).
+// submission order. `name` must be unique among unexecuted ops and
+// identical across ranks for the same logical op.
 // `bytes` is the op's payload size (informational: tracing + bucket
 // policy), not enforced.
 struct OpDesc {
@@ -78,8 +70,8 @@ struct OpDesc {
 
 namespace detail {
 
-// Completion state shared between a Handle and its op. Schedulers complete
-// or fail it via the helpers below; Handle::wait() blocks on it.
+// Completion state shared between a Handle and its op. The scheduler
+// completes or fails it via the helpers below; Handle::wait() blocks on it.
 struct OpState {
   std::mutex mutex;
   std::condition_variable cv;
@@ -95,12 +87,11 @@ void fail_op_state(const std::shared_ptr<OpState>& state,
 
 }  // namespace detail
 
-// Waitable completion token for one op; shared by every Scheduler
-// implementation.
+// Waitable completion token for one op.
 class Handle {
  public:
   Handle() = default;
-  // For scheduler implementations; user code receives handles from submit().
+  // For the scheduler; user code receives handles from submit().
   explicit Handle(std::shared_ptr<detail::OpState> s) : state_(std::move(s)) {}
 
   // Blocks until the op has been executed by the comm thread. Rethrows the
@@ -120,34 +111,5 @@ class Handle {
 // One chunk quantum of an op's body: called with the slice index, in
 // strictly increasing order from 0 to slices-1.
 using SliceFn = std::function<void(int64_t)>;
-
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  // Enqueues an op as `slices` >= 1 ordered quanta (see the header comment
-  // for the execution contract). Throws SchedulerError once the scheduler
-  // has failed or been aborted.
-  virtual Handle submit(OpDesc desc, int64_t slices, SliceFn body) = 0;
-
-  // Whole-op convenience: one slice, body takes no index.
-  Handle submit(OpDesc desc, std::function<void()> body);
-
-  // Blocks until every op submitted so far has executed. Rethrows the first
-  // op failure if the scheduler failed (the backlog is failed fast, so this
-  // cannot wedge on ops that will never run).
-  virtual void drain() = 0;
-
-  // Local, non-collective teardown for error paths: fails every pending
-  // handle with SchedulerError and puts the scheduler into the terminal
-  // failed state (submit() throws). Idempotent.
-  virtual void abort() = 0;
-
-  // True once an op body threw or abort() was called.
-  virtual bool failed() const = 0;
-
-  // Execution log in completion order.
-  virtual std::vector<ExecRecord> records() const = 0;
-};
 
 }  // namespace embrace::sched

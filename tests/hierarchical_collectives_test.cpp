@@ -167,8 +167,7 @@ TEST_P(HierarchicalP, AlltoAllvBitwiseMatchesFlatForAnyPayloads) {
       const Bytes expect = payload_for(s, comm.rank());
       ASSERT_EQ(out[static_cast<size_t>(s)].size(), expect.size())
           << s << "->" << comm.rank();
-      EXPECT_EQ(0, std::memcmp(out[static_cast<size_t>(s)].data(),
-                               expect.data(), expect.size()));
+      EXPECT_EQ(out[static_cast<size_t>(s)], expect);
     }
   });
 }

@@ -14,11 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "comm/communicator.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sched/comm_scheduler.h"
+#include "sched/negotiated_scheduler.h"
 
 namespace embrace::obs {
 namespace {
@@ -396,7 +397,8 @@ TEST(Metrics, WritersReportFailureInsteadOfAborting) {
 TEST(SchedulerTrace, SpansMatchExecRecordTimeline) {
   set_tracing_enabled(true);
   reset_tracing();
-  sched::CommScheduler sched;
+  comm::Fabric fabric(1);
+  sched::NegotiatedScheduler sched(comm::Communicator(fabric, 0));
   // Park the comm thread so a/b/c are all queued when it picks; their
   // priorities then fix the execution (and span) order.
   sched.submit(

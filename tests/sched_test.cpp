@@ -1,14 +1,17 @@
-// Tests for the communication scheduler, step plans, and Algorithm 1.
+// Tests for the communication scheduler as a local priority queue (a
+// single-rank NegotiatedScheduler: nothing is negotiated) and for
+// Algorithm 1.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 
+#include "comm/communicator.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "sched/comm_scheduler.h"
-#include "sched/plan.h"
+#include "sched/negotiated_scheduler.h"
 #include "sched/vertical.h"
 #include "tensor/index_ops.h"
 
@@ -22,17 +25,25 @@ OpDesc desc(std::string name, double priority) {
   return d;
 }
 
+// A single-rank scheduler. Its destructor drains what is still queued, or
+// tears down locally once an op failed.
+class Scheduler : public ::testing::Test {
+ protected:
+  comm::Fabric fabric_{1};
+  NegotiatedScheduler sched{comm::Communicator(fabric_, 0)};
+};
+using SchedulerFailure = Scheduler;
+
 // Parks the comm thread inside a sleeping op so everything submitted next
 // is queued when the scheduler picks again — priority order becomes
 // observable instead of racing the comm thread.
-Handle park(CommScheduler& sched, int ms = 30) {
+Handle park(NegotiatedScheduler& sched, int ms = 30) {
   return sched.submit(desc("warmup", -1.0), [ms] {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   });
 }
 
-TEST(Scheduler, ExecutesByPriorityRegardlessOfSubmitOrder) {
-  CommScheduler sched;
+TEST_F(Scheduler, ExecutesByPriorityRegardlessOfSubmitOrder) {
   std::vector<std::string> executed;
   std::mutex m;
   auto body = [&](const char* n) {
@@ -50,8 +61,7 @@ TEST(Scheduler, ExecutesByPriorityRegardlessOfSubmitOrder) {
   EXPECT_EQ(executed, (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(Scheduler, LateUrgentSubmissionOvertakesQueuedOp) {
-  CommScheduler sched;
+TEST_F(Scheduler, LateUrgentSubmissionOvertakesQueuedOp) {
   std::vector<std::string> executed;
   std::mutex m;
   auto body = [&](const char* n) {
@@ -68,8 +78,7 @@ TEST(Scheduler, LateUrgentSubmissionOvertakesQueuedOp) {
   EXPECT_EQ(executed, (std::vector<std::string>{"high", "low"}));
 }
 
-TEST(Scheduler, HandleWaitBlocksUntilDone) {
-  CommScheduler sched;
+TEST_F(Scheduler, HandleWaitBlocksUntilDone) {
   std::atomic<bool> finished{false};
   auto h = sched.submit(desc("slow", 0.0), [&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -79,8 +88,7 @@ TEST(Scheduler, HandleWaitBlocksUntilDone) {
   EXPECT_TRUE(finished.load());
 }
 
-TEST(Scheduler, StepScopedPrioritiesRunBackToBack) {
-  CommScheduler sched;
+TEST_F(Scheduler, StepScopedPrioritiesRunBackToBack) {
   std::vector<std::string> executed;
   std::mutex m;
   auto body = [&](std::string n) {
@@ -100,8 +108,7 @@ TEST(Scheduler, StepScopedPrioritiesRunBackToBack) {
             (std::vector<std::string>{"s0/x", "s0/y", "s1/x"}));
 }
 
-TEST(Scheduler, RecordsExecutionTimes) {
-  CommScheduler sched;
+TEST_F(Scheduler, RecordsExecutionTimes) {
   sched.submit(desc("op", 0.0), [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   });
@@ -112,8 +119,7 @@ TEST(Scheduler, RecordsExecutionTimes) {
   EXPECT_GE(recs[0].end - recs[0].start, 0.004);
 }
 
-TEST(Scheduler, RejectsDuplicateNameUntilExecuted) {
-  CommScheduler sched;
+TEST_F(Scheduler, RejectsDuplicateNameUntilExecuted) {
   (void)park(sched);
   sched.submit(desc("a", 1.0), [] {});
   EXPECT_THROW(sched.submit(desc("a", 2.0), [] {}), Error);
@@ -123,10 +129,9 @@ TEST(Scheduler, RejectsDuplicateNameUntilExecuted) {
   sched.drain();
 }
 
-TEST(Scheduler, OverlapsWithMainThread) {
+TEST_F(Scheduler, OverlapsWithMainThread) {
   // The comm thread must run concurrently: total wall time for a 40ms comm
   // op + 40ms of main-thread work should be well under 80ms.
-  CommScheduler sched;
   const auto t0 = std::chrono::steady_clock::now();
   auto h = sched.submit(desc("comm", 0.0), [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -141,8 +146,7 @@ TEST(Scheduler, OverlapsWithMainThread) {
 
 // --- failure propagation (DESIGN.md §8) ---
 
-TEST(SchedulerFailure, OpExceptionRethrownFromWait) {
-  CommScheduler sched;
+TEST_F(SchedulerFailure, OpExceptionRethrownFromWait) {
   auto h = sched.submit(desc("boom", 0.0),
                         [] { throw Error("op body failed"); });
   EXPECT_THROW(
@@ -160,8 +164,7 @@ TEST(SchedulerFailure, OpExceptionRethrownFromWait) {
   EXPECT_TRUE(h.failed());
 }
 
-TEST(SchedulerFailure, BacklogFailsFastAfterOpThrows) {
-  CommScheduler sched;
+TEST_F(SchedulerFailure, BacklogFailsFastAfterOpThrows) {
   (void)park(sched);
   auto h_after = sched.submit(desc("after", 2.0),
                               [] { FAIL() << "must never run"; });
@@ -186,72 +189,13 @@ TEST(SchedulerFailure, BacklogFailsFastAfterOpThrows) {
   EXPECT_THROW(sched.submit(desc("more", 3.0), [] {}), SchedulerError);
 }
 
-// Regression: destroying a scheduler with ops still in the plan used to
-// join the comm thread and leave Handle::wait() blocked forever. Now the
-// undone handles fail with "scheduler shut down".
-TEST(SchedulerFailure, DestructorFailsUndoneHandlesInsteadOfHangingWaiters) {
-  CommScheduler::Handle h;
-  std::thread waiter;
-  std::atomic<bool> waiter_threw{false};
-  {
-    CommScheduler sched;
-    std::atomic<bool> started{false};
-    // "tail" stays queued behind the long-running warmup, so it is still in
-    // the plan at destruction time.
-    sched.submit(desc("warmup", 0.0), [&] {
-      started.store(true);
-      std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    });
-    while (!started.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    h = sched.submit(desc("tail", 1.0), [] { FAIL() << "must never run"; });
-    waiter = std::thread([&] {
-      try {
-        h.wait();
-      } catch (const SchedulerError& e) {
-        EXPECT_NE(std::string(e.what()).find("scheduler shut down"),
-                  std::string::npos);
-        waiter_threw.store(true);
-      }
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(waiter_threw.load());
-  }
-  waiter.join();
-  EXPECT_TRUE(waiter_threw.load());
-  EXPECT_TRUE(h.failed());
-}
-
-TEST(SchedulerFailure, DrainDoesNotWedgeWhenOpFailsMidDrain) {
-  CommScheduler sched;
+TEST_F(SchedulerFailure, DrainDoesNotWedgeWhenOpFailsMidDrain) {
   sched.submit(desc("slow_boom", 0.0), [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     throw Error("late failure");
   });
   sched.submit(desc("abandoned", 1.0), [] { FAIL() << "must never run"; });
   EXPECT_THROW(sched.drain(), Error);
-}
-
-TEST(Plans, FifoOrderIsBpEmissionOrder) {
-  auto plan = fifo_plan(/*step=*/3, /*dense_blocks=*/3, /*tables=*/2,
-                        /*hybrid=*/false);
-  EXPECT_EQ(plan, (std::vector<std::string>{
-                      "dense/s3/2", "dense/s3/1", "dense/s3/0",
-                      "embgrad/s3/0", "embgrad/s3/1"}));
-}
-
-TEST(Plans, EmbRaceOrderPutsPriorFirstDelayedLast) {
-  auto plan = embrace_plan(/*step=*/0, /*dense_blocks=*/2, /*tables=*/1);
-  EXPECT_EQ(plan, (std::vector<std::string>{
-                      "prior/s0/0", "embdata/s0/0", "dense/s0/0",
-                      "dense/s0/1", "delayed/s0/0"}));
-}
-
-TEST(Plans, HybridFifoIncludesDataOps) {
-  auto plan = fifo_plan(1, 1, 1, /*hybrid=*/true);
-  EXPECT_EQ(plan, (std::vector<std::string>{"dense/s1/0", "embgrad/s1/0",
-                                            "embdata/s1/0"}));
 }
 
 // --- Algorithm 1 ---

@@ -1,9 +1,11 @@
-// Scheduler-interface conformance suite: every test body is written purely
-// against sched::Scheduler and runs twice — once over a CommScheduler and
-// once over a single-rank NegotiatedScheduler — so the two implementations
-// stay interchangeable behind the shared interface (typed OpDesc submit,
-// chunked slices, preemption at chunk boundaries, failure propagation,
-// drain). A final multi-rank test pins the preemption contract where it
+// Scheduler conformance suite: the op-level contract of the scheduler
+// (typed OpDesc submit, chunked slices, preemption at chunk boundaries,
+// failure propagation, drain). Every contract body runs twice as plain
+// tests: `Conformance.*` on a single rank, where nothing is negotiated and
+// the scheduler is the plain local priority queue, and
+// `NegotiatedConformance.*` on every rank of a 3-rank cluster, where the
+// leader announces each quantum and the followers execute the announced
+// order. A final multi-rank test pins the preemption contract where it
 // matters: a chunked dense transfer through a 4-rank NegotiatedScheduler
 // interrupted by a high-priority op at a chunk boundary, identically on
 // every rank.
@@ -11,11 +13,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <ostream>
 #include <span>
 #include <string>
 #include <thread>
@@ -25,31 +25,10 @@
 #include "comm/cluster.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "sched/comm_scheduler.h"
 #include "sched/negotiated_scheduler.h"
 
 namespace embrace::sched {
 namespace {
-
-using TestBody = std::function<void(Scheduler&)>;
-
-void run_with_comm(const TestBody& body) {
-  CommScheduler scheduler;
-  body(scheduler);
-}
-
-void run_with_negotiated(const TestBody& body) {
-  comm::Fabric fabric(1);
-  comm::run_cluster(fabric, [&](comm::Communicator& c) {
-    NegotiatedScheduler scheduler(c.channel(0));
-    body(scheduler);
-    if (scheduler.failed()) {
-      scheduler.abort();
-    } else {
-      scheduler.shutdown();
-    }
-  });
-}
 
 OpDesc desc(std::string name, double priority, OpKind kind = OpKind::kOther) {
   OpDesc d;
@@ -61,176 +40,219 @@ OpDesc desc(std::string name, double priority, OpKind kind = OpKind::kOther) {
 
 int64_t preemptions() { return obs::counter("sched.preemptions").value(); }
 
-// The test parameter: a named scheduler backend. gtest prints the parameter
-// into every listed test name, so it prints as its name — a bare function
-// pointer would print as its load address, which changes from run to run.
-struct Runner {
-  const char* name;
-  void (*run)(const TestBody&);
-  void operator()(const TestBody& body) const { run(body); }
-};
-
-void PrintTo(const Runner& runner, std::ostream* os) { *os << runner.name; }
-
-struct Conformance : ::testing::TestWithParam<Runner> {};
-
-TEST_P(Conformance, TypedSubmitExecutesAndRecords) {
-  GetParam()([](Scheduler& s) {
-    std::atomic<bool> ran{false};
-    Handle h = s.submit(desc("op", 1.0), [&] { ran = true; });
-    h.wait();
-    EXPECT_TRUE(ran);
-    EXPECT_TRUE(h.done());
-    EXPECT_FALSE(h.failed());
-    s.drain();
-    const auto records = s.records();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].name, "op");
-    EXPECT_LE(records[0].start, records[0].end);
-  });
+void typed_submit_executes_and_records(NegotiatedScheduler& sched) {
+  std::atomic<bool> ran{false};
+  Handle h = sched.submit(desc("op", 1.0), [&] { ran = true; });
+  h.wait();
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(h.done());
+  EXPECT_FALSE(h.failed());
+  sched.drain();
+  const auto records = sched.records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].name, "op");
+  EXPECT_LE(records[0].start, records[0].end);
 }
 
-TEST_P(Conformance, BackloggedOpsRunInPriorityOrder) {
-  GetParam()([](Scheduler& s) {
-    // Gate the comm thread so the backlog builds up, then check the
-    // drained order is by (priority, submission seq), not submission order.
-    std::atomic<bool> release{false};
-    s.submit(desc("gate", 0.0), [&] {
-      while (!release) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-    s.submit(desc("c", 3.0), [] {});
-    s.submit(desc("a", 1.0), [] {});
-    s.submit(desc("b", 2.0), [] {});
-    s.submit(desc("a2", 1.0), [] {});  // ties break by submission order
-    release = true;
-    s.drain();
-    const auto records = s.records();
-    ASSERT_EQ(records.size(), 5u);
-    EXPECT_EQ(records[0].name, "gate");
-    EXPECT_EQ(records[1].name, "a");
-    EXPECT_EQ(records[2].name, "a2");
-    EXPECT_EQ(records[3].name, "b");
-    EXPECT_EQ(records[4].name, "c");
-  });
-}
-
-TEST_P(Conformance, ChunkedSlicesRunInOrder) {
-  GetParam()([](Scheduler& s) {
-    std::vector<int64_t> seen;
-    Handle h = s.submit(desc("chunked", 1.0), 5,
-                        [&](int64_t i) { seen.push_back(i); });
-    h.wait();
-    EXPECT_EQ(seen, (std::vector<int64_t>{0, 1, 2, 3, 4}));
-    // One completion record for the whole op, not one per slice.
-    s.drain();
-    ASSERT_EQ(s.records().size(), 1u);
-    EXPECT_EQ(s.records()[0].name, "chunked");
-  });
-}
-
-TEST_P(Conformance, HighPriorityOpPreemptsChunkedAtSliceBoundary) {
-  GetParam()([](Scheduler& s) {
-    const int64_t preempt0 = preemptions();
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    Handle dense = s.submit(
-        desc("dense", 10.0, OpKind::kDense), 4, [&](int64_t i) {
-          if (i == 0) {
-            started = true;
-            while (!release) {
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-          }
-        });
-    // Submit the urgent op while slice 0 is still executing: the scheduler
-    // must run it before dense's remaining slices.
-    while (!started) std::this_thread::sleep_for(std::chrono::microseconds(200));
-    Handle hot = s.submit(desc("hot", 0.0, OpKind::kSparsePrior), [] {});
-    release = true;
-    hot.wait();
-    dense.wait();
-    s.drain();
-    const auto records = s.records();
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].name, "hot");
-    EXPECT_EQ(records[1].name, "dense");
-    EXPECT_GE(preemptions() - preempt0, 1);
-  });
-}
-
-TEST_P(Conformance, SliceFailureFailsOpAndBacklog) {
-  GetParam()([](Scheduler& s) {
-    std::vector<int64_t> seen;
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    Handle bad = s.submit(desc("bad", 1.0), 4, [&](int64_t i) {
-      seen.push_back(i);
-      if (i == 0) {
-        started = true;
-        while (!release) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-      }
-      if (i == 1) throw Error("boom");
-    });
-    // Park the comm thread in slice 0 so "behind" is enqueued before the
-    // failure happens (no submit-vs-fail race).
-    while (!started) {
+void backlogged_ops_run_in_priority_order(NegotiatedScheduler& sched) {
+  // Gate the comm thread so the backlog builds up, then check the
+  // drained order is by (priority, submission seq), not submission order.
+  std::atomic<bool> release{false};
+  sched.submit(desc("gate", 0.0), [&] {
+    while (!release) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
-    Handle behind = s.submit(desc("behind", 2.0), [] {});
-    release = true;
-    EXPECT_THROW(bad.wait(), Error);
-    EXPECT_THROW(behind.wait(), SchedulerError);
-    // Slices after the throwing one never ran.
-    EXPECT_EQ(seen, (std::vector<int64_t>{0, 1}));
-    EXPECT_TRUE(s.failed());
-    EXPECT_THROW(s.submit(desc("late", 0.0), [] {}), SchedulerError);
-    EXPECT_THROW(s.drain(), Error);
   });
+  sched.submit(desc("c", 3.0), [] {});
+  sched.submit(desc("a", 1.0), [] {});
+  sched.submit(desc("b", 2.0), [] {});
+  sched.submit(desc("a2", 1.0), [] {});  // ties break by submission order
+  release = true;
+  sched.drain();
+  const auto records = sched.records();
+  ASSERT_EQ(records.size(), 5u);
+  EXPECT_EQ(records[0].name, "gate");
+  EXPECT_EQ(records[1].name, "a");
+  EXPECT_EQ(records[2].name, "a2");
+  EXPECT_EQ(records[3].name, "b");
+  EXPECT_EQ(records[4].name, "c");
 }
 
-TEST_P(Conformance, DrainWaitsForEverySubmittedOp) {
-  GetParam()([](Scheduler& s) {
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 16; ++i) {
-      s.submit(desc("op" + std::to_string(i), static_cast<double>(i % 3)),
-               [&] { ++ran; });
-    }
-    s.drain();
-    EXPECT_EQ(ran, 16);
-    EXPECT_EQ(s.records().size(), 16u);
-  });
+void chunked_slices_run_in_order(NegotiatedScheduler& sched) {
+  std::vector<int64_t> seen;
+  Handle h = sched.submit(desc("chunked", 1.0), 5,
+                          [&](int64_t i) { seen.push_back(i); });
+  h.wait();
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  // One completion record for the whole op, not one per slice.
+  sched.drain();
+  ASSERT_EQ(sched.records().size(), 1u);
+  EXPECT_EQ(sched.records()[0].name, "chunked");
 }
 
-TEST_P(Conformance, InvalidSubmissionsAreRejected) {
-  GetParam()([](Scheduler& s) {
-    EXPECT_THROW(s.submit(desc("zero-slices", 0.0), 0, [](int64_t) {}),
-                 Error);
-    // Park the comm thread so "dup" is still pending for the name check.
-    std::atomic<bool> release{false};
-    Handle gate = s.submit(desc("gate", 0.0), [&] {
+void high_priority_op_preempts_chunked_at_slice_boundary(
+    NegotiatedScheduler& sched) {
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  Handle dense = sched.submit(
+      desc("dense", 10.0, OpKind::kDense), 4, [&](int64_t i) {
+        if (i == 0) {
+          started = true;
+          while (!release) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          }
+        }
+      });
+  // Submit the urgent op while slice 0 is still executing: the scheduler
+  // must run it before dense's remaining slices.
+  while (!started) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  Handle hot = sched.submit(desc("hot", 0.0, OpKind::kSparsePrior), [] {});
+  release = true;
+  hot.wait();
+  dense.wait();
+  sched.drain();
+  const auto records = sched.records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].name, "hot");
+  EXPECT_EQ(records[1].name, "dense");
+}
+
+void slice_failure_fails_op_and_backlog(NegotiatedScheduler& sched) {
+  std::vector<int64_t> seen;
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  Handle bad = sched.submit(desc("bad", 1.0), 4, [&](int64_t i) {
+    seen.push_back(i);
+    if (i == 0) {
+      started = true;
       while (!release) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
-    });
-    Handle h = s.submit(desc("dup", 1.0), [] {});
-    EXPECT_THROW(s.submit(desc("dup", 2.0), [] {}), Error);
-    release = true;
-    gate.wait();
-    h.wait();
+    }
+    if (i == 1) throw Error("boom");
+  });
+  // Park the comm thread in slice 0 so "behind" is enqueued before the
+  // failure happens (no submit-vs-fail race).
+  while (!started) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  Handle behind = sched.submit(desc("behind", 2.0), [] {});
+  release = true;
+  EXPECT_THROW(bad.wait(), Error);
+  EXPECT_THROW(behind.wait(), SchedulerError);
+  // Slices after the throwing one never ran.
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 1}));
+  EXPECT_TRUE(sched.failed());
+  EXPECT_THROW(sched.submit(desc("late", 0.0), [] {}), SchedulerError);
+  EXPECT_THROW(sched.drain(), Error);
+}
+
+void drain_waits_for_every_submitted_op(NegotiatedScheduler& sched) {
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 16; ++i) {
+    sched.submit(desc("op" + std::to_string(i), static_cast<double>(i % 3)),
+                 [&] { ++ran; });
+  }
+  sched.drain();
+  EXPECT_EQ(ran, 16);
+  EXPECT_EQ(sched.records().size(), 16u);
+}
+
+void invalid_submissions_are_rejected(NegotiatedScheduler& sched) {
+  EXPECT_THROW(sched.submit(desc("zero-slices", 0.0), 0, [](int64_t) {}),
+               Error);
+  // Park the comm thread so "dup" is still pending for the name check.
+  std::atomic<bool> release{false};
+  Handle gate = sched.submit(desc("gate", 0.0), [&] {
+    while (!release) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  Handle h = sched.submit(desc("dup", 1.0), [] {});
+  EXPECT_THROW(sched.submit(desc("dup", 2.0), [] {}), Error);
+  release = true;
+  gate.wait();
+  h.wait();
+}
+
+// A single-rank scheduler: nothing is negotiated, so it is the plain
+// local priority queue. Its destructor drains what is still queued, or
+// tears down locally once an op failed.
+void run_on_one_rank(void (*body)(NegotiatedScheduler&)) {
+  comm::Fabric fabric(1);
+  NegotiatedScheduler sched{comm::Communicator(fabric, 0)};
+  body(sched);
+}
+
+// Every rank of a cluster runs the same body against its own scheduler,
+// as the trainer's SPMD workers do; rank 0 leads the announcements.
+void run_on_every_rank(void (*body)(NegotiatedScheduler&)) {
+  comm::Fabric fabric(3);
+  comm::run_cluster(fabric, [&](comm::Communicator& comm) {
+    NegotiatedScheduler sched(comm.channel(0));
+    body(sched);
+    if (sched.failed()) {
+      sched.abort();
+    } else {
+      sched.shutdown();
+    }
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothSchedulers, Conformance,
-    ::testing::Values(Runner{"CommScheduler", &run_with_comm},
-                      Runner{"NegotiatedScheduler", &run_with_negotiated}),
-    [](const ::testing::TestParamInfo<Runner>& param_info) {
-      return std::string(param_info.param.name);
-    });
+TEST(Conformance, TypedSubmitExecutesAndRecords) {
+  run_on_one_rank(typed_submit_executes_and_records);
+}
+TEST(NegotiatedConformance, TypedSubmitExecutesAndRecords) {
+  run_on_every_rank(typed_submit_executes_and_records);
+}
+
+TEST(Conformance, BackloggedOpsRunInPriorityOrder) {
+  run_on_one_rank(backlogged_ops_run_in_priority_order);
+}
+TEST(NegotiatedConformance, BackloggedOpsRunInPriorityOrder) {
+  run_on_every_rank(backlogged_ops_run_in_priority_order);
+}
+
+TEST(Conformance, ChunkedSlicesRunInOrder) {
+  run_on_one_rank(chunked_slices_run_in_order);
+}
+TEST(NegotiatedConformance, ChunkedSlicesRunInOrder) {
+  run_on_every_rank(chunked_slices_run_in_order);
+}
+
+TEST(Conformance, SliceFailureFailsOpAndBacklog) {
+  run_on_one_rank(slice_failure_fails_op_and_backlog);
+}
+TEST(NegotiatedConformance, SliceFailureFailsOpAndBacklog) {
+  run_on_every_rank(slice_failure_fails_op_and_backlog);
+}
+
+TEST(Conformance, DrainWaitsForEverySubmittedOp) {
+  run_on_one_rank(drain_waits_for_every_submitted_op);
+}
+TEST(NegotiatedConformance, DrainWaitsForEverySubmittedOp) {
+  run_on_every_rank(drain_waits_for_every_submitted_op);
+}
+
+TEST(Conformance, InvalidSubmissionsAreRejected) {
+  run_on_one_rank(invalid_submissions_are_rejected);
+}
+TEST(NegotiatedConformance, InvalidSubmissionsAreRejected) {
+  run_on_every_rank(invalid_submissions_are_rejected);
+}
+
+TEST(Conformance, HighPriorityOpPreemptsChunkedAtSliceBoundary) {
+  const int64_t preempt0 = preemptions();
+  run_on_one_rank(high_priority_op_preempts_chunked_at_slice_boundary);
+  EXPECT_GE(preemptions() - preempt0, 1);
+}
+
+TEST(NegotiatedConformance, HighPriorityOpPreemptsChunkedAtSliceBoundary) {
+  const int64_t preempt0 = preemptions();
+  run_on_every_rank(high_priority_op_preempts_chunked_at_slice_boundary);
+  // Counted once (leader only), not once per rank.
+  EXPECT_GE(preemptions() - preempt0, 1);
+}
 
 // The end-to-end preemption contract: on a real 4-rank cluster, a chunked
 // dense AllReduce driven slice-by-slice through the NegotiatedScheduler is

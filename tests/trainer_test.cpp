@@ -177,23 +177,6 @@ TEST(Trainer, ChunkedRunsAreBitwiseEqualToMonolithic) {
   }
 }
 
-TEST(Trainer, RemovedDenseFusionBytesIsRejectedAtEntry) {
-  // The deprecated spelling used to be honored as a fallback; now the shim
-  // is gone and the trainer entry points refuse the stale knob outright.
-  TrainConfig cfg = base_config();
-  cfg.strategy = StrategyKind::kEmbRace;
-  cfg.steps = 4;
-  cfg.dense_fusion_bytes = 2048;
-  try {
-    run_distributed(cfg, 2);
-    FAIL() << "run_distributed accepted the removed dense_fusion_bytes knob";
-  } catch (const ConfigValidationError& e) {
-    ASSERT_EQ(e.errors().size(), 1u);
-    EXPECT_EQ(e.errors()[0].field, "dense_fusion_bytes");
-    EXPECT_NE(e.errors()[0].message.find("fusion_bytes"), std::string::npos);
-  }
-}
-
 TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kEmbRace;
