@@ -175,6 +175,17 @@ int main(int argc, char** argv) {
                 static_cast<long long>(k.bytes),
                 static_cast<long long>(k.ops));
   }
+  // Negotiation rounds (DESIGN.md §10): the leader announces one round per
+  // ready set, so ops per round is how many announcements rounds saved.
+  // sched.ops_executed counts every rank's executions, sched.rounds only
+  // the leader's announcements (the final stop token included).
+  const int64_t rounds = obs::counter("sched.rounds").value();
+  const int64_t ops = obs::counter("sched.ops_executed").value() / workers;
+  std::printf("\nscheduler: %lld ops in %lld rounds (%.2f ops/round)\n",
+              static_cast<long long>(ops), static_cast<long long>(rounds),
+              rounds > 0 ? static_cast<double>(ops) /
+                               static_cast<double>(rounds)
+                         : 0.0);
   // Sparse-algorithm engine decisions (DESIGN.md §12) — populated by the
   // allgather strategy's per-op AlgoPicker, zero elsewhere.
   bool any_picks = false;

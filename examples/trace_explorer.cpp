@@ -131,7 +131,8 @@ int main(int argc, char** argv) {
   for (const char* key :
        {"fabric.send.bytes", "comm.bytes{collective=allreduce}",
         "comm.bytes{collective=alltoallv}", "vertical.prior_rows",
-        "vertical.delayed_rows", "sched.ops_executed", "sched.ops_failed",
+        "vertical.delayed_rows", "sched.ops_executed", "sched.rounds",
+        "sched.preemptions", "sched.ops_failed",
         "fabric.dropped", "fabric.duplicated", "fabric.retries",
         "comm.timeouts", "trainer.aborts"}) {
     const auto it = snap.counters.find(key);

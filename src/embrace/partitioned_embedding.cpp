@@ -110,6 +110,53 @@ std::vector<std::vector<int64_t>> PartitionedEmbedding::allgather_ids(
   return out;
 }
 
+std::vector<std::vector<std::vector<int64_t>>>
+PartitionedEmbedding::allgather_id_lists(
+    comm::Communicator& comm,
+    const std::vector<const std::vector<int64_t>*>& lists) {
+  constexpr size_t kWord = sizeof(int64_t);
+  const size_t k = lists.size();
+  size_t words = k;
+  for (const auto* ids : lists) words += ids->size();
+  comm::Bytes mine = comm.pool().acquire(words * kWord);
+  std::byte* w = mine.data();
+  for (const auto* ids : lists) {
+    const int64_t n = static_cast<int64_t>(ids->size());
+    std::memcpy(w, &n, kWord);
+    w += kWord;
+  }
+  for (const auto* ids : lists) {
+    if (ids->empty()) continue;
+    std::memcpy(w, ids->data(), ids->size() * kWord);
+    w += ids->size() * kWord;
+  }
+  auto buffers = comm.allgatherv_shared(std::move(mine));
+  std::vector<std::vector<std::vector<int64_t>>> out(
+      k, std::vector<std::vector<int64_t>>(buffers.size()));
+  for (size_t r = 0; r < buffers.size(); ++r) {
+    const comm::Bytes& b = *buffers[r];
+    EMBRACE_CHECK_GE(b.size(), k * kWord, << "id lists from rank " << r);
+    size_t off = k * kWord;
+    for (size_t l = 0; l < k; ++l) {
+      int64_t n = 0;
+      std::memcpy(&n, b.data() + l * kWord, kWord);
+      EMBRACE_CHECK(n >= 0 && static_cast<size_t>(n) <=
+                                  (b.size() - off) / kWord,
+                    << "id list " << l << " from rank " << r
+                    << " overruns its payload");
+      const size_t bytes = static_cast<size_t>(n) * kWord;
+      out[l][r].resize(static_cast<size_t>(n));
+      if (bytes > 0) std::memcpy(out[l][r].data(), b.data() + off, bytes);
+      off += bytes;
+    }
+    EMBRACE_CHECK_EQ(off, b.size(),
+                     << "trailing bytes in id lists from rank " << r);
+    // Shared payloads are read-only; the last release frees them.
+    buffers[r].reset();
+  }
+  return out;
+}
+
 Tensor PartitionedEmbedding::shard_lookup(
     const std::vector<int64_t>& ids) const {
   Tensor out({static_cast<int64_t>(ids.size()), shard_width()});

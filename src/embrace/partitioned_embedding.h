@@ -74,6 +74,14 @@ class PartitionedEmbedding {
   static std::vector<std::vector<int64_t>> allgather_ids(
       comm::Communicator& comm, const std::vector<int64_t>& my_ids);
 
+  // Multi-table pack: gathers every worker's `lists` (e.g. one id list per
+  // table) in ONE allgatherv whose payload is the per-list counts followed
+  // by the ids, so k lists cost one message per peer instead of k. Returns
+  // out[list][rank]. Every rank must pass the same number of lists.
+  static std::vector<std::vector<std::vector<int64_t>>> allgather_id_lists(
+      comm::Communicator& comm,
+      const std::vector<const std::vector<int64_t>*>& lists);
+
   // Hybrid-communication forward: returns the full-dim lookup result for
   // my_ids ((my_ids.size() × dim)). `all_ids` must be the gathered ids of
   // this step (all_ids[comm.rank()] == my_ids). With a cache in `ex`, hot

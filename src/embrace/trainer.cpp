@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -474,6 +476,17 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
                                          cfg.batch_per_worker);
 
   std::vector<float> local_losses;
+  // Hybrid strategies: every worker's ids per table for the current and the
+  // next batch (Algorithm 1's D_cur / D_next). all_cur(s) is all_next(s-1),
+  // so it is carried over and only the next batch's ids travel each step.
+  std::vector<std::vector<std::vector<int64_t>>> all_cur, all_next;
+  auto table_ids = [](std::initializer_list<const Segmented*> batches) {
+    std::vector<const std::vector<int64_t>*> lists;
+    for (const Segmented* b : batches) {
+      for (const auto& ids : b->ids) lists.push_back(&ids);
+    }
+    return lists;
+  };
   try {
   for (int step = 0; step < cfg.steps; ++step) {
     obs::ScopedSpan step_span("step", "step", step);
@@ -498,10 +511,6 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     // --- embedding forward ---
     const auto fp_emb_start = std::chrono::steady_clock::now();
     Tensor emb_out({cur.total_tokens(), cfg.dim});
-    // Gathered current/next data per table (Algorithm 1's D_cur / D_next).
-    std::vector<std::vector<std::vector<int64_t>>> all_cur(
-        static_cast<size_t>(tables)),
-        all_next(static_cast<size_t>(tables));
     if (is_hybrid(cfg.strategy)) {
       std::vector<sched::Handle> handles;
       {
@@ -509,15 +518,24 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
         // lookup itself runs on the comm thread; this thread only blocks in
         // the timed_wait below (kCommWait).
         obs::PhaseScope issue(acc, obs::Phase::kCommIssue);
-        for (int t = 0; t < tables; ++t) {
-          all_cur[t] =
-              PartitionedEmbedding::allgather_ids(main_ch, seg.ids[t]);
-          all_next[t] =
-              PartitionedEmbedding::allgather_ids(main_ch, seg_next.ids[t]);
+        if (step == 0) {
+          // Nothing carried yet: one message gathers both batches' ids,
+          // ahead of the lookups that need the current ones.
+          auto both = PartitionedEmbedding::allgather_id_lists(
+              main_ch, table_ids({&seg, &seg_next}));
+          all_next.assign(std::make_move_iterator(both.begin() + tables),
+                          std::make_move_iterator(both.end()));
+          both.resize(static_cast<size_t>(tables));
+          all_cur = std::move(both);
+        } else {
+          all_cur = std::move(all_next);
         }
         // Each table's lookup AlltoAll runs as its own scheduled comm op
         // ("Emb Data"), ordered after the previous step's prior/delayed ops —
-        // the dependency the paper's Figure 6(c) encodes.
+        // the dependency the paper's Figure 6(c) encodes. One Batch, so
+        // every table's lookup joins one round.
+        {
+        sched::NegotiatedScheduler::Batch lookups(scheduler);
         for (int t = 0; t < tables; ++t) {
           handles.push_back(scheduler.submit(
               make_desc(emb_op("embdata", step, t),
@@ -532,6 +550,12 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
                     comm_ch, all_cur[t], seg.ids[t], ex);
                 scatter_rows(rows, seg.pos[t], emb_out);
               }));
+        }
+        }
+        // Every table's next ids in one message, while the lookups run.
+        if (step > 0) {
+          all_next = PartitionedEmbedding::allgather_id_lists(
+              main_ch, table_ids({&seg_next}));
         }
       }
       timed_wait(handles, "stall.embdata");
@@ -650,6 +674,9 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     std::vector<sched::Handle> emb_handles;
     {
     obs::PhaseScope issue(acc, obs::Phase::kCommIssue);
+    // The fused head emits every gradient at once: one burst, so the
+    // step's sparse ops outrank its dense ops by priority alone.
+    sched::NegotiatedScheduler::Batch gradients(scheduler);
     if (fusion_bytes > 0) {
       std::vector<Tensor*> grads;  // BP-emission (block) order
       std::vector<int64_t> grad_bytes;

@@ -127,12 +127,9 @@ void LinkProfiler::record(int src, int dst, int64_t bytes, double micros) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
   Stats& s = links_[{src, dst}];
-  const double x = static_cast<double>(bytes);
   s.n += 1;
-  s.sum_x += x;
-  s.sum_y += micros;
-  s.sum_xx += x * x;
-  s.sum_xy += x * micros;
+  const auto [it, fresh] = s.min_us.try_emplace(bytes, micros);
+  if (!fresh) it->second = std::min(it->second, micros);
 }
 
 LinkFit LinkProfiler::solve(int src, int dst, const Stats& s) {
@@ -141,23 +138,31 @@ LinkFit LinkProfiler::solve(int src, int dst, const Stats& s) {
   f.dst = dst;
   f.samples = s.n;
   if (s.n == 0) return f;
-  const double n = static_cast<double>(s.n);
-  const double det = n * s.sum_xx - s.sum_x * s.sum_x;
-  // The determinant is n² · Var(bytes); with zero byte-size variance (all
-  // samples one size class) it is exactly 0 in real arithmetic but can come
-  // out as a tiny positive float residue, whose division would then launder
-  // rounding noise into an arbitrary bytes_per_us. A relative threshold
-  // against n·Σx² (the determinant's own magnitude scale) catches both the
-  // exact and the residue case.
-  if (s.n < 2 || det <= 1e-9 * n * s.sum_xx) {
+  double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
+  for (const auto& [bytes, micros] : s.min_us) {
+    const double x = static_cast<double>(bytes);
+    sum_x += x;
+    sum_y += micros;
+    sum_xx += x * x;
+    sum_xy += x * micros;
+  }
+  const double n = static_cast<double>(s.min_us.size());
+  const double det = n * sum_xx - sum_x * sum_x;
+  // The determinant is n² · Var(bytes); with one message size it is
+  // exactly 0 in real arithmetic but can come out as a tiny positive float
+  // residue, whose division would then launder rounding noise into an
+  // arbitrary bytes_per_us. A relative threshold against n·Σx² (the
+  // determinant's own magnitude scale) catches both the exact and the
+  // residue case.
+  if (s.min_us.size() < 2 || det <= 1e-9 * n * sum_xx) {
     // No slope is identifiable: report the mean cost as pure latency and
     // flag the fit so aggregation skips it.
-    f.alpha_us = s.sum_y / n;
+    f.alpha_us = sum_y / n;
     f.degenerate = true;
     return f;
   }
-  const double slope = (n * s.sum_xy - s.sum_x * s.sum_y) / det;  // µs/byte
-  f.alpha_us = (s.sum_y - slope * s.sum_x) / n;
+  const double slope = (n * sum_xy - sum_x * sum_y) / det;  // µs/byte
+  f.alpha_us = (sum_y - slope * sum_x) / n;
   f.bytes_per_us = slope > 0.0 ? 1.0 / slope : 0.0;
   f.alpha_us = std::max(f.alpha_us, 0.0);
   return f;

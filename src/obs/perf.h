@@ -13,10 +13,11 @@
 //   * aggregate_steps — collapses the matrix into per-step straggler
 //     attribution: slowest rank, skew, and a compute/comm/straggler-bound
 //     classification (the Fig. 8 stall story as a queryable artifact).
-//   * LinkProfiler — streaming least-squares fit of per-(src,dst) message
-//     cost to the α–β model  t(n) = α + n/β  from timestamps the fabric
-//     records on delivery. The fitted LinkFit values are the measured
-//     inputs the ROADMAP's AlgoPicker and topology-aware collectives need.
+//   * LinkProfiler — least-squares fit of per-(src,dst) message cost to
+//     the α–β model  t(n) = α + n/β  over the fastest delivery the fabric
+//     recorded at each message size. The fitted LinkFit values are the
+//     measured inputs the ROADMAP's AlgoPicker and topology-aware
+//     collectives need.
 //
 // This layer deliberately knows nothing about comm:: or sched:: — the
 // trainer owns the exchange, the fabric owns the sampling, and report.h
@@ -144,26 +145,34 @@ std::vector<StepAggregate> aggregate_steps(
 // --- online α–β link profiler ---
 
 // Least-squares fit of one directed link's cost model t(n) = α + n · s
-// where s = 1/bandwidth (µs per byte).
+// where s = 1/bandwidth (µs per byte), over one point per message size:
+// the fastest delivery seen at that size.
 struct LinkFit {
   int src = 0;
   int dst = 0;
-  int64_t samples = 0;
+  int64_t samples = 0;        // deliveries recorded, every size included
   double alpha_us = 0.0;      // fitted latency α (mean cost when degenerate)
   double bytes_per_us = 0.0;  // fitted bandwidth (0 if degenerate)
   // True when the samples carry no identifiable slope — fewer than two
-  // observations, or zero byte-size variance (every sample the same size,
-  // which drives the least-squares determinant to ~0 and would otherwise
-  // amplify float noise into a garbage bandwidth). Degenerate fits report
-  // α = mean cost, bandwidth = 0, and are excluded from aggregate_fit.
+  // message sizes (one size drives the least-squares determinant to ~0
+  // and would otherwise amplify float noise into a garbage bandwidth).
+  // Degenerate fits report α = the mean of the per-size minima (with one
+  // size, its fastest delivery), bandwidth = 0, and are excluded from
+  // aggregate_fit.
   bool degenerate = false;
 
   double gbps() const { return bytes_per_us * 8e6 / 1e9; }
 };
 
-// Streaming per-(src,dst) regression over (bytes, µs) samples. The fabric
-// feeds it from deliveries when enabled; enabling costs one relaxed load
-// per delivery when off. Thread-safe.
+// Per-(src,dst) regression over (bytes, µs) samples. The fabric feeds it
+// from deliveries when enabled; enabling costs one relaxed load per
+// delivery when off. Thread-safe.
+//
+// Load robustness: a delivery can only be late, never early — a busy host
+// wakes the receiver after the emulated cost, not before — so noise is
+// one-sided and a fit over raw samples drifts with host load. The fit
+// uses each size's minimum instead, the sample closest to the link's true
+// cost. Memory is one entry per distinct message size per link.
 class LinkProfiler {
  public:
   void set_enabled(bool enabled);
@@ -192,7 +201,7 @@ class LinkProfiler {
  private:
   struct Stats {
     int64_t n = 0;
-    double sum_x = 0.0, sum_y = 0.0, sum_xx = 0.0, sum_xy = 0.0;
+    std::map<int64_t, double> min_us;  // message bytes -> fastest delivery
   };
   static LinkFit solve(int src, int dst, const Stats& s);
 

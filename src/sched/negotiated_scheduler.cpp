@@ -1,8 +1,10 @@
 #include "sched/negotiated_scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/error.h"
@@ -23,7 +25,7 @@ const char kStopToken[] = "\x01__stop__";
 constexpr std::chrono::microseconds kAnnouncePollSlice{10000};
 
 // Announcement payloads cycle through the rank's wire-buffer pool: the
-// comm thread sends one per peer per quantum, so steady state allocates
+// comm thread sends one per peer per round, so steady state allocates
 // nothing.
 comm::Bytes to_bytes(comm::BufferPool& pool, const std::string& s) {
   comm::Bytes b = pool.acquire(s.size());
@@ -86,6 +88,9 @@ bool NegotiatedScheduler::failed() const {
 Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
                                    SliceFn body) {
   EMBRACE_CHECK(desc.name != kStopToken, << "reserved op name");
+  EMBRACE_CHECK(!desc.name.empty() &&
+                    desc.name.find('\0') == std::string::npos,
+                << "op names must be non-empty and free of '\\0'");
   EMBRACE_CHECK_GE(slices, 1, << "op '" << desc.name << "'");
   EMBRACE_CHECK(static_cast<bool>(body), << "op '" << desc.name
                                          << "' needs a body");
@@ -115,6 +120,20 @@ Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
 Handle NegotiatedScheduler::submit(OpDesc desc, std::function<void()> body) {
   return submit(std::move(desc), 1,
                 [fn = std::move(body)](int64_t) { fn(); });
+}
+
+NegotiatedScheduler::Batch::Batch(NegotiatedScheduler& sched)
+    : sched_(sched) {
+  std::lock_guard<std::mutex> lock(sched_.mutex_);
+  ++sched_.open_batches_;
+}
+
+NegotiatedScheduler::Batch::~Batch() {
+  {
+    std::lock_guard<std::mutex> lock(sched_.mutex_);
+    --sched_.open_batches_;
+  }
+  sched_.cv_.notify_all();
 }
 
 void NegotiatedScheduler::drain() {
@@ -173,12 +192,13 @@ std::vector<ExecRecord> NegotiatedScheduler::records() const {
   return records_;
 }
 
-void NegotiatedScheduler::announce(const std::string& name) {
+void NegotiatedScheduler::announce(const std::string& message) {
   static_assert(sizeof(uint64_t) == 8);
   // One tagged message per peer; the tag is the per-rank announcement index
   // maintained implicitly by both sides walking the same sequence.
   for (int r = 1; r < control_.size(); ++r) {
-    control_.send_bytes_at(r, announce_seq_, to_bytes(control_.pool(), name));
+    control_.send_bytes_at(r, announce_seq_,
+                           to_bytes(control_.pool(), message));
   }
   ++announce_seq_;
 }
@@ -290,7 +310,6 @@ bool NegotiatedScheduler::run_slice(const std::shared_ptr<Op>& op) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     submitted_.erase(op->desc.name);
-    if (active_ == op) active_.reset();
     static obs::Histogram& depth =
         obs::histogram("sched.queue_depth", kQueueDepthEdges);
     depth.observe(static_cast<double>(submitted_.size()));
@@ -299,76 +318,96 @@ bool NegotiatedScheduler::run_slice(const std::shared_ptr<Op>& op) {
   return true;
 }
 
+bool NegotiatedScheduler::lead_round() {
+  std::vector<std::shared_ptr<Op>> round;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] {
+      return (!submitted_.empty() && open_batches_ == 0) ||
+             shutdown_requested_ || abort_.load(std::memory_order_relaxed);
+    });
+    if (abort_.load(std::memory_order_relaxed)) return false;
+    // Highest priority = smallest (priority, seq). The cut after the first
+    // multi-slice op makes every chunk boundary a re-pick point. An empty
+    // round (shutdown with a drained queue) is the stop token.
+    round.reserve(submitted_.size());
+    for (const auto& [name, op] : submitted_) round.push_back(op);
+    std::sort(round.begin(), round.end(), [](const auto& a, const auto& b) {
+      return std::tie(a->desc.priority, a->seq) <
+             std::tie(b->desc.priority, b->seq);
+    });
+    const auto multi =
+        std::find_if(round.begin(), round.end(),
+                     [](const auto& op) { return op->slices > 1; });
+    if (multi != round.end()) round.erase(multi + 1, round.end());
+    // A round that starts with anything but the partially-executed op is
+    // a preemption: more urgent work jumped in at a chunk boundary.
+    if (active_ && !round.empty() && round.front() != active_) {
+      static obs::Counter& preemptions = obs::counter("sched.preemptions");
+      preemptions.increment();
+      obs::emit_instant("sched.preempt", "chunk", active_->next_slice,
+                        "slices", active_->slices);
+    }
+    active_.reset();
+  }
+  static obs::Counter& rounds = obs::counter("sched.rounds");
+  rounds.increment();
+  if (round.empty()) {
+    announce(kStopToken);
+    return false;
+  }
+  std::string message = round.front()->desc.name;
+  for (size_t i = 1; i < round.size(); ++i) {
+    message += '\0';
+    message += round[i]->desc.name;
+  }
+  announce(message);
+  for (const auto& op : round) {
+    // abort() stops at the next op boundary, not at the round's end.
+    if (abort_.load(std::memory_order_relaxed)) return false;
+    if (!run_slice(op)) return false;
+  }
+  // Only the last op of a round can be multi-slice; if it has slices left,
+  // the next round either continues it or preempts it.
+  const std::shared_ptr<Op>& last = round.back();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (last->next_slice < last->slices) active_ = last;
+  return true;
+}
+
+bool NegotiatedScheduler::follow_round() {
+  const std::string message = receive_announcement();
+  if (message.empty()) return false;  // aborted
+  if (message == kStopToken) return false;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = message.find('\0', begin);
+    const std::string name = message.substr(begin, end - begin);
+    std::shared_ptr<Op> op;
+    {
+      // Resolved one op at a time: the local training thread may still be
+      // submitting the round's later ops.
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] {
+        return submitted_.count(name) > 0 ||
+               abort_.load(std::memory_order_relaxed);
+      });
+      if (abort_.load(std::memory_order_relaxed)) return false;
+      op = submitted_.at(name);
+    }
+    if (!run_slice(op)) return false;
+    if (end == std::string::npos) return true;
+    begin = end + 1;
+  }
+}
+
 void NegotiatedScheduler::run() {
   const bool leader = control_.rank() == 0;
   // The comm thread inherits its rank's identity so its trace events land
   // in the right per-rank lane group (paper Fig. 6's bottom lane).
   obs::bind_thread(control_.rank(), "comm");
   try {
-    while (true) {
-      std::shared_ptr<Op> op;
-      if (leader) {
-        std::string chosen;
-        {
-          std::unique_lock<std::mutex> lock(mutex_);
-          cv_.wait(lock, [&] {
-            return !submitted_.empty() || shutdown_requested_ ||
-                   abort_.load(std::memory_order_relaxed);
-          });
-          if (abort_.load(std::memory_order_relaxed)) return;
-          if (submitted_.empty()) {
-            // shutdown with a drained queue: stop everyone.
-            chosen = kStopToken;
-          } else {
-            // Highest priority = smallest (priority, seq). Re-picked every
-            // quantum: this is the chunk-boundary preemption point.
-            const Op* best = nullptr;
-            for (const auto& [name, candidate] : submitted_) {
-              if (best == nullptr ||
-                  candidate->desc.priority < best->desc.priority ||
-                  (candidate->desc.priority == best->desc.priority &&
-                   candidate->seq < best->seq)) {
-                best = candidate.get();
-              }
-            }
-            chosen = best->desc.name;
-            op = submitted_.at(chosen);
-            // Switching away from a partially-executed op is a preemption:
-            // a more urgent op jumped in at a chunk boundary. active_ is
-            // (re)assigned after the slice runs.
-            if (active_ && active_ != op) {
-              static obs::Counter& preemptions =
-                  obs::counter("sched.preemptions");
-              preemptions.increment();
-              obs::emit_instant("sched.preempt", "chunk",
-                                active_->next_slice, "slices",
-                                active_->slices);
-              active_.reset();
-            }
-          }
-        }
-        if (control_.size() > 1) announce(chosen);
-        if (chosen == kStopToken) return;
-      } else {
-        const std::string chosen = receive_announcement();
-        if (chosen.empty()) return;  // aborted
-        if (chosen == kStopToken) return;
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] {
-          return submitted_.count(chosen) > 0 ||
-                 abort_.load(std::memory_order_relaxed);
-        });
-        if (abort_.load(std::memory_order_relaxed)) return;
-        op = submitted_.at(chosen);
-      }
-
-      if (!run_slice(op)) return;
-      if (leader) {
-        // Track the partially-executed op: if the next pick differs while
-        // this op still has slices left, that pick is a preemption.
-        std::lock_guard<std::mutex> lock(mutex_);
-        active_ = op->next_slice < op->slices ? op : nullptr;
-      }
+    while (leader ? lead_round() : follow_round()) {
     }
   } catch (...) {
     // announce()/receive_announcement() threw — dead peer or control-link

@@ -10,23 +10,32 @@
 // with a coordinator that globally orders tensor operations; EmbRace
 // "is integrated with Horovod ... but takes control of the communication
 // operations" (§5.1) and inherits that coordination. We implement it
-// directly: rank 0's comm thread picks the highest-priority submitted op
-// from its own queue and announces the choice on a dedicated control
-// channel; every rank's comm thread executes the announced op (waiting, if
-// needed, for its local training thread to submit it). SPMD symmetry makes
-// rank 0's readiness representative, and the announced order is identical
-// everywhere by construction. On a single-rank channel nothing is
-// announced and the scheduler is a plain local priority queue.
+// directly: rank 0's comm thread takes its ready set and announces it on a
+// dedicated control channel; every rank's comm thread executes the
+// announced ops in order (waiting, if needed, for its local training
+// thread to submit each). SPMD symmetry makes rank 0's readiness
+// representative, and the announced order is identical everywhere by
+// construction. A single-rank channel has no peers to announce to, so the
+// same loop is a plain local priority queue.
 //
-// Chunk granularity (DESIGN.md §10). The negotiation unit is one slice:
-// the leader announces the chosen op once per quantum and re-picks the
-// most urgent op between quanta, so a high-priority op submitted while a
+// Rounds (DESIGN.md §10). The negotiation unit is a round, as in
+// Horovod's coordinator cycles: the leader snapshots every submitted op,
+// orders the snapshot by (priority, seq), cuts it after the first
+// multi-slice op (which contributes only its next slice), and sends the
+// names as one '\0'-separated control message. One message per round,
+// not per op, is what keeps negotiation off the critical path when every
+// message costs a link latency. An op submitted mid-round waits for the
+// round to end (Batch below keeps a burst of submissions together);
+// chunked ops still yield at every chunk boundary, because a multi-slice
+// op always ends its round. So a high-priority op submitted while a
 // chunked transfer is in flight preempts it at the next chunk boundary —
-// on every rank, in the same place, because the announcement stream is the
-// execution order. All ranks must submit the same `slices` count for the
-// same op name. "sched.preemptions" counts switches away from a partially
-// executed op (leader only, so the process-global counter is not
-// multiplied by the world size).
+// on every rank, in the same place, because the announcement stream is
+// the execution order. All ranks must submit the same `slices`
+// count for the same op name. "sched.rounds" counts announced rounds (the
+// final stop token included) and "sched.preemptions" counts rounds that
+// start with something other than a partially executed op; both are
+// leader only, so the process-global counters are not multiplied by the
+// world size.
 //
 // FIFO mode is the same machinery with priority = submission sequence.
 //
@@ -82,6 +91,25 @@ class NegotiatedScheduler {
   // Whole-op convenience: one slice, body takes no index.
   Handle submit(OpDesc desc, std::function<void()> body);
 
+  // A burst of submissions that become ready together (a step's lookups,
+  // a backward pass's gradients). While a Batch is alive the leader starts
+  // no new round, so the burst lands in one snapshot and its priorities
+  // order all of it: a round never catches half a burst and makes an
+  // urgent op submitted last wait behind the ops submitted before it.
+  // Rounds already announced run on. Never wait on a handle or drain()
+  // inside a Batch; on followers, whose order comes from the leader, it
+  // has no effect.
+  class Batch {
+   public:
+    explicit Batch(NegotiatedScheduler& sched);
+    ~Batch();
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+   private:
+    NegotiatedScheduler& sched_;
+  };
+
   // Blocks until every op submitted so far on this rank has executed.
   // Non-collective (the comm thread keeps serving announcements). Rethrows
   // the first op failure if the scheduler failed (the backlog is failed
@@ -106,7 +134,13 @@ class NegotiatedScheduler {
  private:
   struct Op;
   void run();
-  void announce(const std::string& name);
+  // One round on the leader: snapshot, order and cut the ready set,
+  // announce it, run it. One round on a follower: receive the leader's
+  // announcement and run it in order. Both return false once the comm
+  // thread must retire (stop token, abort, or an op failure).
+  bool lead_round();
+  bool follow_round();
+  void announce(const std::string& message);
   // Polls for the leader's announcement in abortable slices. Applies the
   // fabric's recv deadline only while ops are pending locally (the leader
   // should be announcing then); an idle scheduler may wait forever.
@@ -130,12 +164,13 @@ class NegotiatedScheduler {
   std::unordered_map<std::string, std::shared_ptr<Op>> submitted_;
   uint64_t next_seq_ = 0;
   bool shutdown_requested_ = false;
+  int open_batches_ = 0;  // guarded by mutex_
   std::atomic<bool> abort_{false};
   std::exception_ptr failed_;  // guarded by mutex_; terminal once set
   // Announcement index; only touched by the comm thread.
   uint64_t announce_seq_ = 0;
-  // Leader only (comm thread): the partially-executed op whose slice ran
-  // last — announcing a different op while set is a preemption.
+  // Leader only (comm thread): the partially-executed op whose slice ended
+  // the last round — a round that starts with a different op preempts it.
   std::shared_ptr<Op> active_;
   std::vector<ExecRecord> records_;
   std::chrono::steady_clock::time_point epoch_;

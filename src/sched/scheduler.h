@@ -57,7 +57,8 @@ struct ExecRecord {
 };
 
 // Typed op descriptor. Lower priority value = more urgent; ties break by
-// submission order. `name` must be unique among unexecuted ops and
+// submission order. `name` must be non-empty, free of '\0' (it separates
+// names in a round's announcement), unique among unexecuted ops and
 // identical across ranks for the same logical op.
 // `bytes` is the op's payload size (informational: tracing + bucket
 // policy), not enforced.

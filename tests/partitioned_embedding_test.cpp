@@ -107,6 +107,25 @@ TEST_P(PartitionedP, ExchangeGradEqualsSummedColumnSlice) {
   });
 }
 
+TEST_P(PartitionedP, IdListsGatherLikeOneAllgatherPerList) {
+  // Three ragged lists per rank, one of them empty on every rank and one
+  // empty on rank 0 only: one message must deliver what three per-list
+  // gathers would.
+  comm::run_cluster(world(), [&](comm::Communicator& comm) {
+    const int r = comm.rank();
+    std::vector<std::vector<int64_t>> mine(3);
+    for (int i = 0; i < r; ++i) mine[0].push_back(100 * r + i);
+    for (int i = 0; i < 4 + r; ++i) mine[2].push_back(-(10 * r + i));
+    const auto gathered = PartitionedEmbedding::allgather_id_lists(
+        comm, {&mine[0], &mine[1], &mine[2]});
+    ASSERT_EQ(gathered.size(), mine.size());
+    for (size_t l = 0; l < mine.size(); ++l) {
+      EXPECT_EQ(gathered[l], PartitionedEmbedding::allgather_ids(comm, mine[l]))
+          << "list " << l << " on rank " << r;
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(WorldSizes, PartitionedP, ::testing::Values(1, 2, 4));
 
 TEST(Partitioned, RejectsTooNarrowDim) {

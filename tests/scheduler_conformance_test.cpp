@@ -4,7 +4,7 @@
 // tests: `Conformance.*` on a single rank, where nothing is negotiated and
 // the scheduler is the plain local priority queue, and
 // `NegotiatedConformance.*` on every rank of a 3-rank cluster, where the
-// leader announces each quantum and the followers execute the announced
+// leader announces each round and the followers execute the announced
 // order. A final multi-rank test pins the preemption contract where it
 // matters: a chunked dense transfer through a 4-rank NegotiatedScheduler
 // interrupted by a high-priority op at a chunk boundary, identically on
@@ -19,6 +19,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/chunked_collectives.h"
@@ -39,6 +40,23 @@ OpDesc desc(std::string name, double priority, OpKind kind = OpKind::kOther) {
 }
 
 int64_t preemptions() { return obs::counter("sched.preemptions").value(); }
+int64_t rounds() { return obs::counter("sched.rounds").value(); }
+
+// Spins until `flag` is set.
+void await(const std::atomic<bool>& flag) {
+  while (!flag) std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
+// Submits an op that spins until `release`, and returns once its body has
+// started: the gate's round is then under way on this rank.
+void park_comm_thread(NegotiatedScheduler& sched, std::atomic<bool>& release) {
+  std::atomic<bool> started{false};
+  sched.submit(desc("gate", -1.0), [&] {
+    started = true;
+    await(release);
+  });
+  await(started);
+}
 
 void typed_submit_executes_and_records(NegotiatedScheduler& sched) {
   std::atomic<bool> ran{false};
@@ -175,6 +193,79 @@ void invalid_submissions_are_rejected(NegotiatedScheduler& sched) {
   h.wait();
 }
 
+void ready_set_is_one_round(NegotiatedScheduler& sched) {
+  // Four ops submitted out of priority order while the gate runs form the
+  // next round together and run in priority order on every rank.
+  std::atomic<bool> release{false};
+  park_comm_thread(sched, release);
+  std::mutex mu;
+  std::vector<std::string> order;
+  for (const auto& [name, priority] :
+       {std::pair{"d", 4.0}, {"b", 2.0}, {"a", 1.0}, {"c", 3.0}}) {
+    sched.submit(desc(name, priority), [&, name = std::string(name)] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(name);
+    });
+  }
+  release = true;
+  sched.drain();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "d"}));
+}
+
+void urgent_op_submitted_mid_round_runs_after_it(NegotiatedScheduler& sched) {
+  // "late" and then "urgent" are submitted while round {a, b} runs: the
+  // round finishes first (b before the more urgent op), and the next round
+  // runs urgent before late.
+  std::atomic<bool> release{false};
+  park_comm_thread(sched, release);
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto log = [&](std::string name) {
+    return [&, name] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(name);
+    };
+  };
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> a_release{false};
+  sched.submit(desc("a", 1.0), [&] {
+    log("a")();
+    a_started = true;
+    await(a_release);
+  });
+  sched.submit(desc("b", 2.0), log("b"));
+  release = true;
+  await(a_started);
+  sched.submit(desc("late", 3.0), log("late"));
+  sched.submit(desc("urgent", 0.0), log("urgent"));
+  a_release = true;
+  sched.drain();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"a", "b", "urgent", "late"}));
+}
+
+void batch_is_one_round(NegotiatedScheduler& sched) {
+  // A Batch keeps the leader from snapshotting half a burst: "urgent",
+  // submitted last and well after "routine", still runs first, in the
+  // same round.
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto log = [&](std::string name) {
+    return [&, name] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(name);
+    };
+  };
+  {
+    NegotiatedScheduler::Batch burst(sched);
+    sched.submit(desc("routine", 2.0), log("routine"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sched.submit(desc("urgent", 1.0), log("urgent"));
+  }
+  sched.drain();
+  EXPECT_EQ(order, (std::vector<std::string>{"urgent", "routine"}));
+}
+
 // A single-rank scheduler: nothing is negotiated, so it is the plain
 // local priority queue. Its destructor drains what is still queued, or
 // tears down locally once an op failed.
@@ -252,6 +343,46 @@ TEST(NegotiatedConformance, HighPriorityOpPreemptsChunkedAtSliceBoundary) {
   run_on_every_rank(high_priority_op_preempts_chunked_at_slice_boundary);
   // Counted once (leader only), not once per rank.
   EXPECT_GE(preemptions() - preempt0, 1);
+}
+
+// Rounds: the gate's, the backlog's, and the stop token at shutdown.
+TEST(Conformance, ReadySetIsOneRound) {
+  const int64_t rounds0 = rounds();
+  run_on_one_rank(ready_set_is_one_round);
+  EXPECT_EQ(rounds() - rounds0, 3);
+}
+
+TEST(NegotiatedConformance, ReadySetIsOneRound) {
+  const int64_t rounds0 = rounds();
+  run_on_every_rank(ready_set_is_one_round);
+  // Counted once (leader only), not once per rank.
+  EXPECT_EQ(rounds() - rounds0, 3);
+}
+
+// Rounds: the gate's, {a, b}, {urgent, late}, and the stop token.
+TEST(Conformance, UrgentOpSubmittedMidRoundRunsAfterIt) {
+  const int64_t rounds0 = rounds();
+  run_on_one_rank(urgent_op_submitted_mid_round_runs_after_it);
+  EXPECT_EQ(rounds() - rounds0, 4);
+}
+
+TEST(NegotiatedConformance, UrgentOpSubmittedMidRoundRunsAfterIt) {
+  const int64_t rounds0 = rounds();
+  run_on_every_rank(urgent_op_submitted_mid_round_runs_after_it);
+  EXPECT_EQ(rounds() - rounds0, 4);
+}
+
+// Rounds: the burst's and the stop token.
+TEST(Conformance, BatchIsOneRound) {
+  const int64_t rounds0 = rounds();
+  run_on_one_rank(batch_is_one_round);
+  EXPECT_EQ(rounds() - rounds0, 2);
+}
+
+TEST(NegotiatedConformance, BatchIsOneRound) {
+  const int64_t rounds0 = rounds();
+  run_on_every_rank(batch_is_one_round);
+  EXPECT_EQ(rounds() - rounds0, 2);
 }
 
 // The end-to-end preemption contract: on a real 4-rank cluster, a chunked

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include "common/error.h"
 #include "embrace/strategy.h"
+#include "obs/metrics.h"
 
 namespace embrace::core {
 namespace {
@@ -323,6 +325,48 @@ TEST(Trainer, EmbRaceTopKTwoTablesIsBitwiseRepeatable) {
       ASSERT_EQ(std::bit_cast<uint32_t>(again.losses[i]),
                 std::bit_cast<uint32_t>(first.losses[i]))
           << "repeat " << rep << " step " << i;
+    }
+  }
+}
+
+TEST(Trainer, EmbRaceExchangesIdsOncePerStep) {
+  // The hybrid strategies carry step s-1's gathered next-batch ids forward
+  // as step s's current ids, and send every table's next ids in one
+  // allgatherv (step 0's also carries the current ids): one id exchange per
+  // rank per step. The oracle is the exchange this replaced, two id
+  // allgathers per table per step: the losses of that trainer on this
+  // config, recorded bit for bit. EmbRace and EmbRace-noVSS share them (the
+  // modified Adam makes the prior/delayed split exact).
+  struct Oracle {
+    int workers;
+    std::array<uint32_t, 6> loss_bits;
+  };
+  const Oracle oracles[] = {
+      {2, {0x40410f48u, 0x40405114u, 0x404222c2u, 0x403dec2cu, 0x403b2176u,
+           0x403fd5eeu}},
+      {3, {0x40409cd0u, 0x403fc4f0u, 0x40405cbdu, 0x403b77e9u, 0x403d9ae4u,
+           0x403e550cu}},
+  };
+  obs::Counter& gathers = obs::counter("comm.calls{collective=allgatherv}");
+  for (StrategyKind strategy :
+       {StrategyKind::kEmbRace, StrategyKind::kEmbRaceNoVss}) {
+    for (const Oracle& oracle : oracles) {
+      TrainConfig cfg = base_config();
+      cfg.strategy = strategy;
+      cfg.num_tables = 2;
+      cfg.steps = static_cast<int>(oracle.loss_bits.size());
+      const int64_t gathers0 = gathers.value();
+      const auto stats = run_distributed(cfg, oracle.workers);
+      EXPECT_EQ(gathers.value() - gathers0,
+                static_cast<int64_t>(oracle.workers) * cfg.steps)
+          << strategy_kind_name(strategy) << " workers=" << oracle.workers;
+      ASSERT_EQ(stats.losses.size(), oracle.loss_bits.size());
+      for (size_t i = 0; i < stats.losses.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(stats.losses[i]),
+                  oracle.loss_bits[i])
+            << strategy_kind_name(strategy) << " workers=" << oracle.workers
+            << " step " << i;
+      }
     }
   }
 }
