@@ -53,9 +53,7 @@ sparse::CostParams fabric_params() {
   sparse::CostParams p;
   p.link.alpha_us = kAlphaUs;
   p.link.bytes_per_us = kBetaBytesPerUs;
-  p.allgather_eff = 1.0;
-  p.allreduce_eff = 1.0;
-  p.alltoall_eff = 1.0;
+  p.eff = simnet::SchemeEfficiency::measured();
   return p;
 }
 
@@ -244,10 +242,9 @@ int main() {
   }
   zipf_table.print();
 
-  // Crossover validation: the picker's closed form vs simnet's cost model,
-  // both parameterized by the same link constants and the same scheme
-  // efficiencies (the picker's simnet-matched fallback set — the duplicated
-  // constants this gate exists to keep honest).
+  // Crossover validation: the picker's closed-form crossover vs a bisection
+  // over simnet's cost model, both parameterized by the same link constants
+  // and the same (analytic) scheme efficiencies.
   sparse::CostParams model_params = sparse::CostParams::from_simnet_defaults();
   model_params.link.alpha_us = kAlphaUs;
   model_params.link.bytes_per_us = kBetaBytesPerUs;

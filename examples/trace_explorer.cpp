@@ -8,7 +8,7 @@
 // BP, delayed AlltoAllv under the next step's FP) is directly visible.
 //
 // Usage:
-//   trace_explorer [workers] [steps] [strategy] [tables] \
+//   trace_explorer [workers] [steps] [strategy] [tables]
 //                  [drop_prob] [delay_us] [timeout_ms]
 //     workers:   rank count                      (default 4)
 //     steps:     training steps                  (default 6)

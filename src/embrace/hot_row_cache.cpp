@@ -165,9 +165,10 @@ void HotRowCache::refresh(comm::Communicator& comm,
   const int64_t budget =
       std::min(cfg_.budget_rows, static_cast<int64_t>(order.size()));
   // Choose the cut. With a picker, price a small candidate grid of cut
-  // sizes under the α–β model (hot AllReduce amortized over the staleness
-  // window vs the shrunken cold AlltoAll) and take the cheapest; all
-  // pricing inputs are rank-agreed, so every rank lands on the same cut.
+  // sizes through the collective cost model (hot AllReduce amortized over
+  // the staleness window vs the shrunken cold AlltoAll) and take the
+  // cheapest; all pricing inputs are rank-agreed, so every rank lands on
+  // the same cut.
   int64_t cut = budget;
   if (picker != nullptr && total > 0.0) {
     std::vector<double> prefix(static_cast<size_t>(budget) + 1, 0.0);

@@ -172,11 +172,6 @@ struct TrainConfig {
   int cache_refresh_steps = 8;
   int cache_staleness = 1;
 
-  // Test/stress knob: per-message delivery jitter injected into the fabric
-  // (microseconds). Correctness must be timing-independent; the stress
-  // tests train with jitter and still require oracle-equal losses.
-  uint64_t fabric_jitter_us = 0;
-
   // Fault injection (DESIGN.md §8). Per-message probabilities applied on
   // every link, deterministic given `seed`. With recoverable drops the run
   // must still produce oracle-equal losses (the collectives retry lost

@@ -300,7 +300,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     if (rank == 0) {
       if (auto measured =
               sparse::CostParams::from_measured(obs::link_profiler())) {
-        params = *measured;
+        params.link = measured->link;
         ab[2] = 1.0f;
       }
       ab[0] = static_cast<float>(params.link.alpha_us);
@@ -309,12 +309,8 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     main_ch.broadcast(ab, /*root=*/0);
     params.link.alpha_us = static_cast<double>(ab[0]);
     params.link.bytes_per_us = static_cast<double>(ab[1]);
-    if (ab[2] != 0.0f) {
-      // Measured constants carry no scheme derate (see from_measured).
-      params.allgather_eff = 1.0;
-      params.allreduce_eff = 1.0;
-      params.alltoall_eff = 1.0;
-    }
+    // Measured constants carry no scheme derate (see from_measured).
+    if (ab[2] != 0.0f) params.eff = simnet::SchemeEfficiency::measured();
     // Topology terms are rank-agreed by construction (pure functions of the
     // shared TrainConfig), so they need no broadcast. Only a real two-tier
     // layout with the hierarchical path enabled admits kTwoLevelRing into
@@ -322,14 +318,12 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     if (grp != nullptr && grp->two_level()) {
       params.nodes = cfg.topo_nodes;
       params.gpus_per_node = cfg.topo_gpus_per_node;
-      const sparse::CostParams defaults =
-          sparse::CostParams::from_simnet_defaults();
-      params.intra.alpha_us = cfg.link_intra_alpha_us > 0.0
-                                  ? cfg.link_intra_alpha_us
-                                  : defaults.intra.alpha_us;
-      params.intra.bytes_per_us = cfg.link_intra_bytes_per_us > 0.0
-                                      ? cfg.link_intra_bytes_per_us
-                                      : defaults.intra.bytes_per_us;
+      if (cfg.link_intra_alpha_us > 0.0) {
+        params.intra.alpha_us = cfg.link_intra_alpha_us;
+      }
+      if (cfg.link_intra_bytes_per_us > 0.0) {
+        params.intra.bytes_per_us = cfg.link_intra_bytes_per_us;
+      }
     }
     algo_picker.emplace(mode, params, cfg.chunk_bytes);
   }
@@ -1059,7 +1053,7 @@ TrainStats run_distributed(const TrainConfig& cfg, int workers) {
   faults.drop_prob = cfg.fault_drop_prob;
   faults.dup_prob = cfg.fault_dup_prob;
   faults.reorder_prob = cfg.fault_reorder_prob;
-  faults.delay_max_us = std::max(cfg.fault_delay_max_us, cfg.fabric_jitter_us);
+  faults.delay_max_us = cfg.fault_delay_max_us;
   faults.recoverable = cfg.fault_recoverable;
   if (faults.any()) {
     fabric.set_fault_config(faults, cfg.seed);

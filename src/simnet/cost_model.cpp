@@ -6,6 +6,12 @@
 #include "common/error.h"
 
 namespace embrace::simnet {
+namespace {
+
+// Time to move `bytes` at `bw`; a bandwidth <= 0 moves them for free.
+double transfer(double bytes, double bw) { return bw > 0.0 ? bytes / bw : 0.0; }
+
+}  // namespace
 
 CollectiveCostModel::CollectiveCostModel(ClusterConfig cfg,
                                          SchemeEfficiency eff)
@@ -25,10 +31,13 @@ double CollectiveCostModel::intra_flow_bw(double efficiency) const {
   return efficiency * cfg_.net.intra_node_bw;
 }
 
-double CollectiveCostModel::allreduce_dense(double bytes) const {
+double CollectiveCostModel::allreduce_dense(double bytes, double value_scale,
+                                            double chunk_bytes) const {
   const int n = gpus();
   if (n == 1) return 0.0;
-  const double chunk = bytes / n;
+  const double chunk = bytes * value_scale / n;
+  const double msgs =
+      chunk_bytes > 0.0 ? std::max(1.0, std::ceil(chunk / chunk_bytes)) : 1.0;
   // NCCL-style ring places each node's GPUs consecutively: per step exactly
   // one flow crosses each NIC, so the step bandwidth is the slower of the
   // PCIe hop and the (unshared) inter-node hop. Single-node rings never
@@ -38,7 +47,8 @@ double CollectiveCostModel::allreduce_dense(double bytes) const {
           ? intra_flow_bw(eff_.allreduce)
           : std::min(intra_flow_bw(eff_.allreduce),
                      remote_flow_bw(eff_.allreduce, 1));
-  return 2.0 * (n - 1) * (chunk / step_bw + cfg_.net.latency);
+  return 2.0 * (n - 1) *
+         (transfer(chunk, step_bw) + msgs * cfg_.net.latency);
 }
 
 double CollectiveCostModel::alltoall_pairwise(double pair_bytes) const {
@@ -49,22 +59,24 @@ double CollectiveCostModel::alltoall_pairwise(double pair_bytes) const {
   const int remote_rounds = (n - 1) - local_rounds;
   double t = 0.0;
   if (local_rounds > 0) {
-    t += local_rounds *
-         (pair_bytes / intra_flow_bw(eff_.alltoall) + cfg_.net.latency);
+    t += local_rounds * (transfer(pair_bytes, intra_flow_bw(eff_.alltoall)) +
+                         cfg_.net.latency);
   }
   if (remote_rounds > 0) {
     // In a remote round every GPU on the node sends off-node concurrently,
     // so g flows share the NIC.
     t += remote_rounds *
-         (pair_bytes / remote_flow_bw(eff_.alltoall, g) + cfg_.net.latency);
+         (transfer(pair_bytes, remote_flow_bw(eff_.alltoall, g)) +
+          cfg_.net.latency);
   }
   return t;
 }
 
-double CollectiveCostModel::allreduce_two_level(double bytes) const {
+double CollectiveCostModel::allreduce_two_level(
+    double bytes, double inter_value_scale) const {
   const int nodes = cfg_.topo.nodes;
   const int g = cfg_.topo.gpus_per_node;
-  if (nodes <= 1 || g <= 1) return allreduce_dense(bytes);
+  if (nodes <= 1 || g <= 1) return allreduce_dense(bytes, inter_value_scale);
   const double intra_bw = intra_flow_bw(eff_.allreduce);
   const double inter_bw = remote_flow_bw(eff_.allreduce, 1);
   const double a_intra = cfg_.net.intra_node_latency;
@@ -72,15 +84,15 @@ double CollectiveCostModel::allreduce_two_level(double bytes) const {
   // Stage 1: intra-node ring reduce-scatter, (g-1) steps of bytes/g, then
   // the (g-1) reduced chunks converge on the node leader.
   const double chunk = bytes / g;
-  double t = (g - 1) * (chunk / intra_bw + a_intra);
-  t += (g - 1) * (chunk / intra_bw + a_intra);
+  double t = 2.0 * (g - 1) * (transfer(chunk, intra_bw) + a_intra);
   // Stage 2: ring AllReduce of the full node sum across the `nodes`
   // leaders; only one flow per NIC, every hop is inter-node.
-  t += 2.0 * (nodes - 1) * (bytes / nodes / inter_bw + a_inter);
+  t += 2.0 * (nodes - 1) *
+       (transfer(bytes * inter_value_scale / nodes, inter_bw) + a_inter);
   // Stage 3: intra-node binomial broadcast of the finished vector,
   // ceil(log2 g) rounds each moving the full payload over PCIe.
   const double rounds = std::ceil(std::log2(static_cast<double>(g)));
-  t += rounds * (bytes / intra_bw + a_intra);
+  t += rounds * (transfer(bytes, intra_bw) + a_intra);
   return t;
 }
 
@@ -106,7 +118,7 @@ double CollectiveCostModel::allgather_sparse(double bytes, double density,
           ? intra_flow_bw(eff_.allgather)
           : std::min(intra_flow_bw(eff_.allgather),
                      remote_flow_bw(eff_.allgather, 1));
-  return (n - 1) * (payload / step_bw + cfg_.net.latency);
+  return (n - 1) * (transfer(payload, step_bw) + cfg_.net.latency);
 }
 
 double CollectiveCostModel::ps_sparse_step(double bytes, double density,
@@ -156,10 +168,11 @@ double CollectiveCostModel::omnireduce(double bytes, double density,
           msgs_per_step * cfg_.net.per_message_overhead);
 }
 
-double CollectiveCostModel::p2p(double bytes, bool same_node) const {
-  const double bw =
-      same_node ? intra_flow_bw(1.0) : remote_flow_bw(1.0, 1);
-  return bytes / bw + cfg_.net.latency;
+double CollectiveCostModel::p2p(double bytes, bool same_node,
+                                double efficiency) const {
+  const double bw = same_node ? intra_flow_bw(efficiency)
+                              : remote_flow_bw(efficiency, 1);
+  return transfer(bytes, bw) + cfg_.net.latency;
 }
 
 }  // namespace embrace::simnet

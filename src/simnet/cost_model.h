@@ -25,8 +25,18 @@ struct SchemeEfficiency {
   double alltoall = 0.62;   // pairwise exchange, incast pressure
   double allgather = 0.40;  // variable-size ring gather; sizing handshake
   double ps = 0.70;         // PS push/pull streams
+
+  // No derating: α–β constants fitted from measured deliveries already
+  // include every pattern's real efficiency.
+  static constexpr SchemeEfficiency measured() { return {1.0, 1.0, 1.0, 1.0}; }
 };
 
+// The one place a collective is priced: simnet's training simulator and
+// the runtime's pickers (sparse::AlgoPicker) both call it. The closed forms
+// are unit-agnostic: simnet passes seconds and bytes/s, the runtime µs and
+// bytes/µs. Transfers at a bandwidth <= 0 are free, leaving only the α
+// terms: the runtime's unmodelled link. Multi-node rings step at the lower
+// of the two tier bandwidths, so such a link sets both tiers to it.
 class CollectiveCostModel {
  public:
   explicit CollectiveCostModel(ClusterConfig cfg,
@@ -44,15 +54,21 @@ class CollectiveCostModel {
 
   // Ring AllReduce of a dense tensor of `bytes`:
   //   2(N-1) steps of (bytes/N); per paper, 2(N-1)(M/(N·B)+α).
-  double allreduce_dense(double bytes) const;
+  // `value_scale` scales the whole ring's payload (a wire codec's
+  // bytes/value ÷ 4); `chunk_bytes` > 0 splits each ring step into
+  // ceil(step/chunk) messages that each pay α.
+  double allreduce_dense(double bytes, double value_scale = 1.0,
+                         double chunk_bytes = 0.0) const;
 
   // Two-level (topology-aware) AllReduce of a dense tensor of `bytes`:
   // intra-node reduce-scatter + chunk gather to the node leader, inter-node
-  // ring over the `nodes` leaders, intra-node binomial broadcast. Mirrors
-  // comm::hierarchical_allreduce stage for stage so the simnet sweep prices
-  // exactly what the thread-scale implementation executes. Falls back to
-  // allreduce_dense() when the cluster is single-node or single-GPU-per-node.
-  double allreduce_two_level(double bytes) const;
+  // ring over the `nodes` leaders, intra-node binomial broadcast — stage for
+  // stage what comm::hierarchical_allreduce executes. `inter_value_scale`
+  // scales only the inter-node stage, the one the runtime encodes. Falls
+  // back to allreduce_dense() when the cluster is single-node or
+  // single-GPU-per-node.
+  double allreduce_two_level(double bytes,
+                             double inter_value_scale = 1.0) const;
 
   // One AlltoAll pass over a table of dense size `bytes` with gradient
   // density `density`: (N-1) exchanges of density·bytes/N (§4.1.2 counts
@@ -82,9 +98,9 @@ class CollectiveCostModel {
                     double block_bytes = 4096.0) const;
   bool supports_omnireduce() const { return cfg_.topo.gpus_per_node == 1; }
 
-  // Point-to-point transfer of `bytes` between two specific ranks
-  // (used by the partitioning ablation).
-  double p2p(double bytes, bool same_node) const;
+  // Point-to-point transfer of `bytes` between two specific ranks at
+  // `efficiency` of the link: the α–β per-message term.
+  double p2p(double bytes, bool same_node, double efficiency = 1.0) const;
 
   // --- exposed internals for tests ---
   // Per-flow bandwidth for one pairwise round at node distance != 0, where

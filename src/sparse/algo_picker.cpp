@@ -7,7 +7,6 @@
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simnet/topology.h"
 
 namespace embrace::sparse {
 namespace {
@@ -22,15 +21,24 @@ double sparse_payload_bytes(double density, int64_t rows, int64_t dim,
   return 24.0 + nnz * (8.0 + value_bytes * static_cast<double>(dim));
 }
 
-double dense_payload_bytes(int64_t rows, int64_t dim) {
-  return 4.0 * static_cast<double>(rows) * static_cast<double>(dim);
+// The runtime's fabric in the cost model's terms (µs, bytes/µs): `topo`
+// with `link` as the inter-node tier and `intra` as the intra-node one.
+simnet::CollectiveCostModel cost_model(const CostParams& p,
+                                       simnet::ClusterTopology topo,
+                                       const comm::LinkCost& intra) {
+  simnet::ClusterConfig cfg;
+  cfg.topo = topo;
+  cfg.net.inter_node_bw = p.link.bytes_per_us;
+  cfg.net.latency = p.link.alpha_us;
+  cfg.net.intra_node_bw = intra.bytes_per_us;
+  cfg.net.intra_node_latency = intra.alpha_us;
+  return simnet::CollectiveCostModel(cfg, p.eff);
 }
 
-// Transfer time of `bytes` at efficiency-derated bandwidth; 0 bandwidth
-// means an infinite (unmodeled) link, costing only latency.
-double wire_us(const comm::LinkCost& link, double bytes, double efficiency) {
-  if (link.bytes_per_us <= 0.0) return 0.0;
-  return bytes / (link.bytes_per_us * efficiency);
+// The flat fabric: `world` single-GPU nodes, both tiers the one link, so
+// every hop (simnet's slower-of-the-two-tiers included) runs at the link.
+simnet::CollectiveCostModel flat_model(const CostParams& p, int world) {
+  return cost_model(p, {world, 1}, p.link);
 }
 
 obs::Counter& picks_counter(comm::SparseAlgoKind k) {
@@ -134,9 +142,7 @@ std::optional<CostParams> CostParams::from_measured(
   // derating (incast, pipelining, software overhead) is already folded into
   // the fitted α–β; applying simnet's per-scheme efficiency factors on top
   // would double-count it.
-  p.allgather_eff = 1.0;
-  p.allreduce_eff = 1.0;
-  p.alltoall_eff = 1.0;
+  p.eff = simnet::SchemeEfficiency::measured();
   return p;
 }
 
@@ -172,20 +178,7 @@ AlgoPicker::AlgoPicker(AlgoMode mode, CostParams params, int64_t chunk_bytes)
 
 void AlgoPicker::set_codec_cost(double wire_bytes_per_value) {
   EMBRACE_CHECK_GT(wire_bytes_per_value, 0.0);
-  analytic_value_bytes_ = wire_bytes_per_value;
-}
-
-void AlgoPicker::observe_compression(double bytes_out_per_in) {
-  if (!(bytes_out_per_in > 0.0)) return;  // also rejects NaN
-  measured_ratio_ewma_ = measured_ratio_ewma_ == 0.0
-                             ? bytes_out_per_in
-                             : 0.8 * measured_ratio_ewma_ +
-                                   0.2 * bytes_out_per_in;
-}
-
-double AlgoPicker::value_bytes() const {
-  return measured_ratio_ewma_ > 0.0 ? 4.0 * measured_ratio_ewma_
-                                    : analytic_value_bytes_;
+  value_bytes_ = wire_bytes_per_value;
 }
 
 double AlgoPicker::predict_us(comm::SparseAlgoKind algo, double density,
@@ -201,18 +194,17 @@ double AlgoPicker::predict_us(comm::SparseAlgoKind algo,
   const double density = std::clamp(est.per_rank, 0.0, 1.0);
   const double merged_full = std::clamp(est.merged, density, 1.0);
   if (world == 1) return 0.0;
-  const comm::LinkCost& link = params_.link;
-  const double n = static_cast<double>(world);
-  const double vb = value_bytes();
+  const simnet::CollectiveCostModel flat = flat_model(params_, world);
+  const double vb = value_bytes_;
+  const double dense_bytes =
+      4.0 * static_cast<double>(rows) * static_cast<double>(dim);
   switch (algo) {
-    case comm::SparseAlgoKind::kSplitAllgather: {
+    case comm::SparseAlgoKind::kSplitAllgather:
       // Each rank ships its whole payload to every peer: (N−1)(α + S/B).
       // Per-rank payload sizes add linearly, so the *mean* per-rank density
       // prices the total volume exactly regardless of overlap structure.
-      const double s = sparse_payload_bytes(density, rows, dim, vb);
-      return (n - 1.0) *
-             (link.alpha_us + wire_us(link, s, params_.allgather_eff));
-    }
+      return flat.allgather_sparse(
+          sparse_payload_bytes(density, rows, dim, vb), /*density=*/1.0);
     case comm::SparseAlgoKind::kRecursiveDoubling: {
       // Round r exchanges the merge of 2^r ranks' rows. Its density is
       // bracketed by the independent-rows union of the per-rank mean from
@@ -222,7 +214,12 @@ double AlgoPicker::predict_us(comm::SparseAlgoKind algo,
       // old 1 − (1−d)^(2^r) form when the estimate itself is the
       // independence one. Non-power-of-two worlds add a fold-in leg (one
       // per-rank payload) and a return leg (the full merged result) on the
-      // critical path.
+      // critical path. Each exchange is one message, priced by the model's
+      // α–β term at the pairwise-exchange efficiency.
+      const auto message_us = [&](double payload_density) {
+        return flat.p2p(sparse_payload_bytes(payload_density, rows, dim, vb),
+                        /*same_node=*/false, params_.eff.alltoall);
+      };
       const int p = std::bit_floor(static_cast<unsigned>(world));
       const int rounds = std::countr_zero(static_cast<unsigned>(p));
       double t = 0.0;
@@ -232,69 +229,27 @@ double AlgoPicker::predict_us(comm::SparseAlgoKind algo,
         const double k = std::ldexp(1.0, r);
         const double ramp =
             1.0 - std::pow(1.0 - merged_full, k / static_cast<double>(p));
-        const double round_density = std::min(
-            merged_full, std::max(merged_density(density, k), ramp));
-        t += link.alpha_us +
-             wire_us(link, sparse_payload_bytes(round_density, rows, dim, vb),
-                     params_.alltoall_eff);
+        t += message_us(std::min(merged_full,
+                                 std::max(merged_density(density, k), ramp)));
       }
-      if (p < world) {
-        t += 2.0 * link.alpha_us +
-             wire_us(link, sparse_payload_bytes(density, rows, dim, vb),
-                     params_.alltoall_eff) +
-             wire_us(link, sparse_payload_bytes(merged_full, rows, dim, vb),
-                     params_.alltoall_eff);
-      }
+      if (p < world) t += message_us(density) + message_us(merged_full);
       return t;
     }
-    case comm::SparseAlgoKind::kDenseRing: {
-      // 2(N−1) ring steps of M/N, each split into ceil(block/chunk)
-      // messages that pay α individually. The runtime encodes every ring
-      // slice under the active codec, so the block size scales with the
-      // codec's bytes/value.
-      const double block =
-          dense_payload_bytes(rows, dim) * (vb / 4.0) / n;
-      const double msgs =
-          chunk_bytes_ > 0
-              ? std::max(1.0,
-                         std::ceil(block / static_cast<double>(chunk_bytes_)))
-              : 1.0;
-      return 2.0 * (n - 1.0) *
-             (msgs * link.alpha_us +
-              wire_us(link, block, params_.allreduce_eff));
-    }
-    case comm::SparseAlgoKind::kTwoLevelRing: {
-      // Two-tier pricing of comm::hierarchical_allreduce, stage for stage
-      // (mirrors simnet::CollectiveCostModel::allreduce_two_level). With no
-      // node structure the runtime falls back to the flat dense ring, so
-      // price it identically. Only the inter-node leader stage is encoded
-      // (hierarchical_collectives.h keeps the intra stages exact), so only
-      // its term scales with the codec's bytes/value.
-      const int nodes = params_.nodes;
-      const int g = params_.gpus_per_node;
-      if (nodes <= 1 || g <= 1) {
-        return predict_us(comm::SparseAlgoKind::kDenseRing, est, rows, dim,
-                          world);
+    case comm::SparseAlgoKind::kTwoLevelRing:
+      // Only the inter-node leader stage is encoded
+      // (hierarchical_collectives.h keeps the intra stages exact).
+      if (params_.nodes > 1 && params_.gpus_per_node > 1) {
+        return cost_model(params_, {params_.nodes, params_.gpus_per_node},
+                          params_.intra)
+            .allreduce_two_level(dense_bytes, vb / 4.0);
       }
-      const comm::LinkCost& intra = params_.intra;
-      const double m = dense_payload_bytes(rows, dim);
-      const double chunk = m / static_cast<double>(g);
-      // Intra-node reduce-scatter + chunk gather to the leader.
-      double t = 2.0 * (g - 1) *
-                 (intra.alpha_us + wire_us(intra, chunk, params_.allreduce_eff));
-      // Inter-node ring AllReduce of the full vector across the leaders
-      // (the codec-compressed stage).
-      t += 2.0 * (nodes - 1) *
-           (link.alpha_us +
-            wire_us(link, m * (vb / 4.0) / static_cast<double>(nodes),
-                    params_.allreduce_eff));
-      // Intra-node binomial broadcast of the finished vector.
-      const double bcast_rounds =
-          std::ceil(std::log2(static_cast<double>(g)));
-      t += bcast_rounds *
-           (intra.alpha_us + wire_us(intra, m, params_.allreduce_eff));
-      return t;
-    }
+      // With no node structure the runtime runs the flat dense ring.
+      [[fallthrough]];
+    case comm::SparseAlgoKind::kDenseRing:
+      // The runtime encodes every ring slice under the active codec and
+      // splits each ring step into chunk_bytes messages.
+      return flat.allreduce_dense(dense_bytes, vb / 4.0,
+                                  static_cast<double>(chunk_bytes_));
   }
   return 0.0;
 }
@@ -307,30 +262,23 @@ double AlgoPicker::predict_hot_split_us(int64_t hot_rows,
   // ascending-grid tie-break then keeps the cache off, which is right —
   // there is no wire to save).
   if (world <= 1) return 0.0;
-  const double vb = value_bytes();
-  const double beta = params_.link.bytes_per_us;  // 0 = infinite bandwidth
-  const double peer_frac = static_cast<double>(world - 1) / world;
-  // Cold AlltoAll, both legs per step: the lookup ships exact fp32 row
-  // slices, the gradient leg ships codec-priced values plus 8-byte
-  // indices; a rank's own slice never leaves the box.
-  const double cold_tokens =
-      tokens_per_step * (1.0 - hot_access_frac) / world;  // per rank
-  const double a2a_bytes =
-      cold_tokens * peer_frac *
-      (static_cast<double>(dim) * 4.0 + static_cast<double>(dim) * vb + 8.0);
-  double t = 2.0 * params_.link.alpha_us * (world - 1);
-  if (beta > 0.0) t += a2a_bytes / (beta * params_.alltoall_eff);
+  const simnet::CollectiveCostModel flat = flat_model(params_, world);
+  const double vb = value_bytes_;
+  const double d = static_cast<double>(dim);
+  // Cold AlltoAll, both legs per step, over each rank's cold tokens spread
+  // evenly across the world: the lookup ships exact fp32 row slices, the
+  // gradient leg codec-priced values plus 8-byte indices.
+  const double pair_tokens =
+      tokens_per_step * (1.0 - hot_access_frac) / world / world;
+  double t = flat.alltoall_pairwise(pair_tokens * d * 4.0) +
+             flat.alltoall_pairwise(pair_tokens * (d * vb + 8.0));
   // Hot sync: a dense ring AllReduce over (hot_rows × dim) codec-priced
   // values plus exact presence floats, amortized over the staleness
   // window. Its α term is what makes small cuts lose on latency-bound
   // links — an extra collective must earn its startup cost.
   if (hot_rows > 0) {
-    const double ar_bytes =
-        2.0 * peer_frac * static_cast<double>(hot_rows) *
-        (static_cast<double>(dim) * vb + 4.0);
-    double sync_us = 2.0 * params_.link.alpha_us * (world - 1);
-    if (beta > 0.0) sync_us += ar_bytes / (beta * params_.allreduce_eff);
-    t += sync_us / static_cast<double>(sync_every < 1 ? 1 : sync_every);
+    t += flat.allreduce_dense(static_cast<double>(hot_rows) * (d * vb + 4.0)) /
+         static_cast<double>(sync_every < 1 ? 1 : sync_every);
   }
   return t;
 }
@@ -348,9 +296,9 @@ double AlgoPicker::crossover_density(int64_t rows, int64_t dim,
   const double r = static_cast<double>(rows);
   const double d = static_cast<double>(dim);
   const double n = static_cast<double>(world);
-  const double ag = params_.allgather_eff;
-  const double ar = params_.allreduce_eff;
-  const double vb = value_bytes();
+  const double ag = params_.eff.allgather;
+  const double ar = params_.eff.allreduce;
+  const double vb = value_bytes_;
   const double crossover =
       (params_.link.alpha_us * beta * ag +
        2.0 * vb * r * d * ag / (n * ar)) /

@@ -6,9 +6,10 @@
 // and the full-payload fan-out lose to the ring AllReduce's bandwidth-
 // optimal 2(N−1)·M/N dense schedule, with recursive doubling's log₂(N)
 // rounds competitive in between on latency-bound fabrics. The AlgoPicker
-// prices all three variants of comm::sparse_allreduce under the α–β model
-// and picks the cheapest — or obeys a forced mode from
-// TrainConfig::sparse_algo.
+// prices every variant of comm::sparse_allreduce, and the hot-row cache's
+// candidate cuts, through simnet::CollectiveCostModel — the one α–β model
+// the simulator also uses — and picks the cheapest, or obeys a forced mode
+// from TrainConfig::sparse_algo.
 //
 // Inputs are deliberately rank-agreeable: density, row-space geometry, and
 // world size are scalars every rank can compute identically (the trainer
@@ -18,9 +19,9 @@
 //
 // Cost constants come from, in priority order: the fabric's measured
 // LinkCost profile (obs::LinkProfiler α–β fits, aggregated), else the
-// simnet cost model's NetworkParams defaults — one source of truth with
-// the simulator, which is what makes the predicted crossover comparable to
-// simnet's measured one (bench_algo_picker gates on a factor of 2).
+// simnet cost model's NetworkParams defaults. The picker describes its flat
+// fabric to the model as `world` single-GPU nodes with both tiers set to
+// that link, in µs and bytes/µs.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include "comm/fabric.h"
 #include "comm/sparse_collectives.h"
 #include "obs/perf.h"
+#include "simnet/cost_model.h"
 
 namespace embrace::sparse {
 
@@ -48,12 +50,7 @@ enum class AlgoMode {
 std::optional<AlgoMode> parse_sparse_algo(std::string_view s);
 const char* algo_mode_name(AlgoMode m);
 
-// α–β link cost plus per-scheme bandwidth-efficiency factors. The
-// efficiencies mirror simnet::SchemeEfficiency (ring AllReduce pipelines
-// near line rate; pairwise exchange and the variable-size gather do not) —
-// duplicated numerically here because the picker prices *this runtime's*
-// wire patterns, but kept equal so predicted and simulated crossovers
-// agree (checked by bench_algo_picker's factor-of-2 gate).
+// α–β link cost plus the cost model's per-scheme bandwidth efficiencies.
 struct CostParams {
   comm::LinkCost link;           // inter-node tier: alpha_us + bytes_per_us
                                  // (0 bytes_per_us = infinite bw)
@@ -64,9 +61,8 @@ struct CostParams {
   comm::LinkCost intra;
   int nodes = 1;
   int gpus_per_node = 1;
-  double allgather_eff = 0.40;   // simnet SchemeEfficiency::allgather
-  double allreduce_eff = 0.90;   // simnet SchemeEfficiency::allreduce
-  double alltoall_eff = 0.62;    // simnet SchemeEfficiency::alltoall
+  // The analytic derates; SchemeEfficiency::measured() for fitted links.
+  simnet::SchemeEfficiency eff;
 
   // Fallback constants from simnet's NetworkParams{} (100 Gbps inter-node
   // link at α = 30µs, PCIe-class intra-node link at α = 3µs) — used when no
@@ -136,8 +132,8 @@ class AlgoPicker {
 
   // Predicted one-op wall cost in µs for a gradient over a (rows × dim)
   // row space on a `world`-rank fabric. Pure functions of their arguments
-  // plus the picker's codec-cost state — identical on every rank as long
-  // as set_codec_cost/observe_compression are fed rank-agreed values.
+  // plus the picker's codec cost — identical on every rank as long as
+  // set_codec_cost is fed a rank-agreed value.
   // Per-rank payloads (allgather legs, recursive doubling's first round)
   // are priced at est.per_rank; merged payloads ramp from per_rank toward
   // est.merged round by round.
@@ -167,13 +163,14 @@ class AlgoPicker {
                     int world) const;
 
   // Prices one training step of a table's embedding traffic under a
-  // hot/cold cache split (DESIGN.md §15), per rank in µs: the cold rows'
-  // AlltoAll legs shrink by the cached access fraction, while the hot
-  // replicas pay a dense (hot_rows × dim) AllReduce (values codec-priced,
-  // presence exact) amortized over `sync_every` steps. `tokens_per_step`
-  // and `hot_access_frac` come from the allreduced access counters, so
-  // every rank prices every candidate cut identically and the cache's
-  // epoch switch cannot split-brain. hot_rows == 0 prices the uncached
+  // hot/cold cache split (DESIGN.md §15), per rank in µs, through the cost
+  // model's pairwise AlltoAll and ring AllReduce: the cold rows' AlltoAll
+  // legs shrink by the cached access fraction, while the hot replicas pay
+  // a dense (hot_rows × dim) AllReduce (values codec-priced, presence
+  // exact) amortized over `sync_every` steps. `tokens_per_step` and
+  // `hot_access_frac` come from the allreduced access counters, so every
+  // rank prices every candidate cut identically and the cache's epoch
+  // switch cannot split-brain. hot_rows == 0 prices the uncached
   // hybrid path, which is how "auto" can decide the cache off entirely
   // (e.g. on latency-bound links where an extra collective never pays).
   double predict_hot_split_us(int64_t hot_rows, double hot_access_frac,
@@ -184,15 +181,12 @@ class AlgoPicker {
   // 4.0 = uncompressed floats). Scales the value sections of the sparse
   // payload model and the compressed stages of the dense models (the whole
   // ring for kDenseRing, the inter-node stage only for kTwoLevelRing —
-  // mirroring which stages the runtime actually encodes). Seed it with
-  // comm::codec_wire_bytes_per_value(codec); feed observe_compression with
-  // the measured rank-agreed bytes_out/bytes_in ratio to refine the
-  // analytic seed online (EWMA; measured wins once any sample exists).
-  // SPMD contract: both must be fed identical values on every rank, or the
-  // predicted costs — and hence the picks — split-brain.
+  // the stages the runtime actually encodes). Set it from
+  // comm::codec_wire_bytes_per_value(codec). SPMD contract: it must be
+  // identical on every rank, or the predicted costs — and hence the picks —
+  // split-brain.
   void set_codec_cost(double wire_bytes_per_value);
-  void observe_compression(double bytes_out_per_in);
-  double value_bytes() const;  // effective bytes/value used by the model
+  double value_bytes() const { return value_bytes_; }
 
   // Observability for a decision actually executed: bumps the per-algorithm
   // pick/byte counters ("sparse.algo.picks{algo=...}",
@@ -204,10 +198,7 @@ class AlgoPicker {
   AlgoMode mode_;
   CostParams params_;
   int64_t chunk_bytes_;
-  // Codec wire cost: analytic seed (4.0 = raw floats) and the EWMA of
-  // measured compression ratios (0 = no samples yet; see value_bytes()).
-  double analytic_value_bytes_ = 4.0;
-  double measured_ratio_ewma_ = 0.0;
+  double value_bytes_ = 4.0;  // codec wire cost; 4.0 = raw floats
 };
 
 }  // namespace embrace::sparse

@@ -195,9 +195,9 @@ TEST(CostParams, SimnetDefaultsMirrorNetworkParams) {
   // simnet::NetworkParams{}: 30us latency, 100 Gbps = 12.5 GB/s links.
   EXPECT_DOUBLE_EQ(p.link.alpha_us, 30.0);
   EXPECT_DOUBLE_EQ(p.link.bytes_per_us, 12500.0);
-  EXPECT_DOUBLE_EQ(p.allgather_eff, 0.40);
-  EXPECT_DOUBLE_EQ(p.allreduce_eff, 0.90);
-  EXPECT_DOUBLE_EQ(p.alltoall_eff, 0.62);
+  EXPECT_DOUBLE_EQ(p.eff.allgather, 0.40);
+  EXPECT_DOUBLE_EQ(p.eff.allreduce, 0.90);
+  EXPECT_DOUBLE_EQ(p.eff.alltoall, 0.62);
 }
 
 TEST(CostParams, FromMeasuredIsEmptyWithoutSamples) {
@@ -219,9 +219,9 @@ TEST(CostParams, FromMeasuredAveragesLinkFits) {
   EXPECT_NEAR(measured->link.bytes_per_us, 200.0, 1e-6);
   // Measured fits include every real derating already: no scheme
   // efficiency is applied on top.
-  EXPECT_DOUBLE_EQ(measured->allgather_eff, 1.0);
-  EXPECT_DOUBLE_EQ(measured->allreduce_eff, 1.0);
-  EXPECT_DOUBLE_EQ(measured->alltoall_eff, 1.0);
+  EXPECT_DOUBLE_EQ(measured->eff.allgather, 1.0);
+  EXPECT_DOUBLE_EQ(measured->eff.allreduce, 1.0);
+  EXPECT_DOUBLE_EQ(measured->eff.alltoall, 1.0);
 }
 
 TEST(AlgoPicker, ForcedModesPickTheForcedVariant) {
@@ -499,17 +499,6 @@ TEST(AlgoPicker, CodecCostScalesValueBytes) {
   EXPECT_DOUBLE_EQ(picker.value_bytes(), 4.0);
   picker.set_codec_cost(1.6);  // topk at fraction 0.2
   EXPECT_DOUBLE_EQ(picker.value_bytes(), 1.6);
-  // A measured ratio overrides the analytic seed once any sample exists.
-  picker.observe_compression(0.5);
-  EXPECT_DOUBLE_EQ(picker.value_bytes(), 2.0);
-  picker.observe_compression(0.25);  // EWMA 0.8/0.2
-  EXPECT_DOUBLE_EQ(picker.value_bytes(), 4.0 * (0.8 * 0.5 + 0.2 * 0.25));
-  // Garbage samples are ignored.
-  const double before = picker.value_bytes();
-  picker.observe_compression(0.0);
-  picker.observe_compression(-1.0);
-  picker.observe_compression(std::nan(""));
-  EXPECT_DOUBLE_EQ(picker.value_bytes(), before);
 }
 
 TEST(AlgoPicker, CheaperValuesRaiseCrossoverWhenLatencyBound) {
@@ -555,9 +544,9 @@ TEST_P(PickVsMeasured, TwoMomentPickMatchesMeasuredArgmin) {
   CostParams params;
   params.link.alpha_us = 300.0;
   params.link.bytes_per_us = 1.0;
-  params.allgather_eff = 1.0;
-  params.allreduce_eff = 1.0;
-  params.alltoall_eff = 1.0;  // prices recursive doubling's exchanges
+  params.eff.allgather = 1.0;
+  params.eff.allreduce = 1.0;
+  params.eff.alltoall = 1.0;  // prices recursive doubling's exchanges
   AlgoPicker picker(AlgoMode::kAuto, params, /*chunk_bytes=*/0);
 
   const DensityEstimate est{d, d};  // identical hot sets: union == per-rank

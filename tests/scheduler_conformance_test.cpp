@@ -409,17 +409,23 @@ TEST(NegotiatedChunked, HighPriorityOpPreemptsDenseTransferOnAllRanks) {
     ASSERT_GT(slices, 4);
     auto cursor =
         std::make_shared<std::optional<comm::ChunkedAllReduce>>();
+    std::atomic<bool> started{false};
     OpDesc dense_desc = desc("dense", 10.0, OpKind::kDense);
     Handle dense_h =
         scheduler.submit(dense_desc, slices, [&, cursor](int64_t i) {
           if (i == 0) {
+            started = true;
             cursor->emplace(data_ch, std::span<float>(dense), kChunk);
           }
           (*cursor)->run_quantum(i);
           // Stretch each quantum so the hot op reliably lands mid-flight.
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Submit the urgent op only once this rank's quantum 0 has begun, so
+    // it can only join a round behind dense's first slice.
+    while (!started) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
     Handle hot_h = scheduler.submit(desc("hot", 0.0, OpKind::kSparsePrior),
                                     [&] { data_ch.allreduce(hot); });
     hot_h.wait();

@@ -378,7 +378,7 @@ TEST(Trainer, EmbRaceCorrectUnderDeliveryJitter) {
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kEmbRace;
   cfg.steps = 5;
-  cfg.fabric_jitter_us = 150;
+  cfg.fault_delay_max_us = 150;
   const auto dist = run_distributed(cfg, 3);
   const auto oracle = run_oracle(cfg, 3);
   expect_losses_close(dist.losses, oracle.losses, 2e-3f);
@@ -388,7 +388,7 @@ TEST(Trainer, AllGatherCorrectUnderDeliveryJitter) {
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kHorovodAllGather;
   cfg.steps = 4;
-  cfg.fabric_jitter_us = 150;
+  cfg.fault_delay_max_us = 150;
   const auto dist = run_distributed(cfg, 3);
   const auto oracle = run_oracle(cfg, 3);
   expect_losses_close(dist.losses, oracle.losses, 2e-3f);
