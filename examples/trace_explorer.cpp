@@ -130,6 +130,7 @@ int main(int argc, char** argv) {
               snap.histograms.size());
   for (const char* key :
        {"fabric.send.bytes", "comm.bytes{collective=allreduce}",
+        "comm.bytes{collective=allreduce_chunked}",
         "comm.bytes{collective=alltoallv}", "vertical.prior_rows",
         "vertical.delayed_rows", "sched.ops_executed", "sched.rounds",
         "sched.preemptions", "sched.ops_failed",

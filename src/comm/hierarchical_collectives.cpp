@@ -44,13 +44,14 @@ int64_t read_i64(const Bytes& b, size_t& off) {
 void hierarchical_allreduce(CommGroup& g, std::span<float> data, ReduceOp op,
                             const Codec* codec, int64_t chunk_bytes) {
   EMBRACE_CHECK(g.world != nullptr);
-  Communicator& world = *g.world;
+  // Without a codec (and on empty data, which travels uncoded) the ring
+  // runs one message per step, exactly Communicator::allreduce's wire.
+  if (codec == nullptr || data.empty()) {
+    codec = nullptr;
+    chunk_bytes = 0;
+  }
   if (!g.two_level() || data.empty()) {
-    if (codec != nullptr && !data.empty()) {
-      allreduce_chunked(world, data, chunk_bytes, op, codec);
-    } else {
-      world.allreduce(data, op);
-    }
+    allreduce_chunked(*g.world, data, chunk_bytes, op, codec);
     return;
   }
   Communicator& node = *g.node;
@@ -81,11 +82,7 @@ void hierarchical_allreduce(CommGroup& g, std::span<float> data, ReduceOp op,
     // Stage 2: inter-node ring AllReduce of the full node sums across the
     // leaders — the only stage that touches the expensive tier, and hence
     // the only one a wire codec compresses.
-    if (codec != nullptr) {
-      allreduce_chunked(*g.leaders, data, chunk_bytes, op, codec);
-    } else {
-      g.leaders->allreduce(data, op);
-    }
+    allreduce_chunked(*g.leaders, data, chunk_bytes, op, codec);
   }
 
   // Stage 3: fan the finished vector back out within the node. This also

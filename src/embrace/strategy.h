@@ -119,7 +119,9 @@ struct TrainConfig {
   // > 0, each dense transfer is split into <= chunk_bytes wire chunks and
   // scheduled as ordered quanta, so a higher-priority op (embedding
   // AlltoAll, prior sparse part) can preempt it at a chunk boundary.
-  // 0 = monolithic transfers. Results are bitwise-identical either way.
+  // 0 = whole transfers, which run two-level on a two-tier topology; the
+  // sliced ones stay on the flat ring. Without a two-tier topology results
+  // are bitwise-identical either way.
   // When > 0, must be in [64, 1 GiB] (validate()).
   int64_t chunk_bytes = 0;
 
@@ -204,14 +206,6 @@ struct TrainConfig {
   int topo_gpus_per_node = 0;
   double link_intra_alpha_us = 0.0;
   double link_intra_bytes_per_us = 0.0;
-
-  // Route dense AllReduce (and the "two-level" sparse variant) through the
-  // two-level hierarchical collectives over the CommGroup tree when a
-  // topology with >1 node and >1 GPU/node is configured. On by default —
-  // without a topology it has no effect. Results stay within float
-  // tolerance of the flat path (reduction bracketing changes); AlltoAll
-  // payloads are bitwise-identical.
-  bool hierarchical_collectives = true;
 
   // Performance observatory (DESIGN.md §11). Phase accounting itself is
   // always on (it is a handful of clock reads per step); this knob controls
