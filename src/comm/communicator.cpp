@@ -315,13 +315,34 @@ std::vector<float> Communicator::reduce_scatter(std::span<float> data,
                                                 ReduceOp op) {
   EMBRACE_COLLECTIVE_PROLOGUE(
       "reduce_scatter", static_cast<int64_t>(data.size() * sizeof(float)));
-  return reduce_scatter_impl(data, op);
+  const int64_t whole = static_cast<int64_t>(data.size());
+  return reduce_scatter_impl(data, {&whole, 1}, op);
 }
 
-std::vector<float> Communicator::reduce_scatter_impl(std::span<float> data,
-                                                     ReduceOp op) {
+std::vector<float> Communicator::reduce_scatter(
+    std::span<float> data, std::span<const int64_t> segment_elems,
+    ReduceOp op) {
+  EMBRACE_COLLECTIVE_PROLOGUE(
+      "reduce_scatter", static_cast<int64_t>(data.size() * sizeof(float)));
+  return reduce_scatter_impl(data, segment_elems, op);
+}
+
+std::vector<float> Communicator::reduce_scatter_impl(
+    std::span<float> data, std::span<const int64_t> segment_elems,
+    ReduceOp op) {
   const int n = size();
-  const int64_t total = static_cast<int64_t>(data.size());
+  // Calls fn(begin, end) with the absolute range of every segment's block
+  // `chunk` under chunk_range(), in segment order.
+  const auto for_blocks = [&](int chunk, auto&& fn) {
+    int64_t offset = 0;
+    for (const int64_t elems : segment_elems) {
+      const auto [b, e] = chunk_range(elems, chunk);
+      fn(offset + b, offset + e);
+      offset += elems;
+    }
+    EMBRACE_CHECK_EQ(offset, static_cast<int64_t>(data.size()),
+                     << "segments must tile the buffer");
+  };
   // Ring reduce-scatter: in step s, rank sends chunk (rank - s - 1) and
   // receives chunk (rank - s - 2), accumulating into its copy. This offset
   // is chosen so that after N-1 steps rank r holds the full reduction of
@@ -330,20 +351,39 @@ std::vector<float> Communicator::reduce_scatter_impl(std::span<float> data,
     const uint64_t tag = next_tag();
     const int send_chunk = (rank_ - s - 1 + 2 * n) % n;
     const int recv_chunk = (rank_ - s - 2 + 2 * n) % n;
-    const auto [sb, se] = chunk_range(total, send_chunk);
-    const auto [rb, re] = chunk_range(total, recv_chunk);
     const int to = (rank_ + 1) % n;
     const int from = (rank_ - 1 + n) % n;
-    send_float_block(to, tag,
-                     data.subspan(static_cast<size_t>(sb),
-                                  static_cast<size_t>(se - sb)));
-    recv_reduce_block(from, tag,
-                      data.subspan(static_cast<size_t>(rb),
-                                   static_cast<size_t>(re - rb)),
-                      op);
+    size_t send_elems = 0;
+    for_blocks(send_chunk, [&](int64_t b, int64_t e) {
+      send_elems += static_cast<size_t>(e - b);
+    });
+    Bytes out = pool().acquire(send_elems * sizeof(float));
+    size_t pos = 0;
+    for_blocks(send_chunk, [&](int64_t b, int64_t e) {
+      const size_t bytes = static_cast<size_t>(e - b) * sizeof(float);
+      if (bytes > 0) std::memcpy(out.data() + pos, data.data() + b, bytes);
+      pos += bytes;
+    });
+    fabric_->send(global_rank_, global(to), tag, std::move(out));
+    Bytes in = checked_recv(from, tag);
+    const std::span<const float> view = float_view(in);
+    size_t at = 0;
+    for_blocks(recv_chunk, [&](int64_t b, int64_t e) {
+      const size_t len = static_cast<size_t>(e - b);
+      EMBRACE_CHECK_LE(at + len, view.size(),
+                       << "float payload size mismatch");
+      reduce_into(data.subspan(static_cast<size_t>(b), len),
+                  view.subspan(at, len), op);
+      at += len;
+    });
+    EMBRACE_CHECK_EQ(at, view.size(), << "float payload size mismatch");
+    pool().release(std::move(in));
   }
-  const auto [mb, me] = chunk_range(total, rank_);
-  return std::vector<float>(data.begin() + mb, data.begin() + me);
+  std::vector<float> mine;
+  for_blocks(rank_, [&](int64_t b, int64_t e) {
+    mine.insert(mine.end(), data.begin() + b, data.begin() + e);
+  });
+  return mine;
 }
 
 void Communicator::allreduce(std::span<float> data, ReduceOp op) {
@@ -352,7 +392,7 @@ void Communicator::allreduce(std::span<float> data, ReduceOp op) {
   const int n = size();
   if (n == 1) return;
   const int64_t total = static_cast<int64_t>(data.size());
-  (void)reduce_scatter_impl(data, op);
+  (void)reduce_scatter_impl(data, {&total, 1}, op);
   // Ring allgather of the reduced chunks: in step s, rank forwards chunk
   // (rank - s) and receives chunk (rank - s - 1).
   for (int s = 0; s < n - 1; ++s) {

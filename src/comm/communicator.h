@@ -105,6 +105,14 @@ class Communicator {
   // reduced chunk copied out for convenience.
   std::vector<float> reduce_scatter(std::span<float> data,
                                     ReduceOp op = ReduceOp::kSum);
+  // Segmented reduce-scatter: `segment_elems` tiles `data` into segments
+  // laid end to end, and each is reduce-scattered as if alone (its own
+  // chunk_range partition, so its bits equal a lone reduce_scatter on it),
+  // while one message per ring step carries every segment's block. Returns
+  // this rank's reduced block of every segment, concatenated in order.
+  std::vector<float> reduce_scatter(std::span<float> data,
+                                    std::span<const int64_t> segment_elems,
+                                    ReduceOp op = ReduceOp::kSum);
 
   // Ring AllGather of equal-size blocks: result is size*block concatenated
   // in rank order.
@@ -194,7 +202,9 @@ class Communicator {
   // Uninstrumented bodies shared by the public entry points, so a collective
   // built on another (allreduce -> reduce_scatter, alltoall -> alltoallv)
   // traces one span and counts its payload bytes exactly once.
-  std::vector<float> reduce_scatter_impl(std::span<float> data, ReduceOp op);
+  std::vector<float> reduce_scatter_impl(
+      std::span<float> data, std::span<const int64_t> segment_elems,
+      ReduceOp op);
   std::vector<Bytes> alltoallv_impl(std::vector<Bytes> send);
   std::vector<SharedBytes> allgatherv_shared_impl(Bytes mine);
 

@@ -1,9 +1,9 @@
 #include "comm/hierarchical_collectives.h"
 
+#include <array>
 #include <cstring>
 #include <utility>
 
-#include "comm/chunked_collectives.h"
 #include "common/error.h"
 
 namespace embrace::comm {
@@ -43,26 +43,39 @@ int64_t read_i64(const Bytes& b, size_t& off) {
 
 void hierarchical_allreduce(CommGroup& g, std::span<float> data, ReduceOp op,
                             const Codec* codec, int64_t chunk_bytes) {
+  const std::array<Segment, 1> whole{Segment{
+      .elems = static_cast<int64_t>(data.size()), .codec = codec}};
+  hierarchical_allreduce(g, data, whole, op, chunk_bytes);
+}
+
+void hierarchical_allreduce(CommGroup& g, std::span<float> data,
+                            std::span<const Segment> segments, ReduceOp op,
+                            int64_t chunk_bytes) {
   EMBRACE_CHECK(g.world != nullptr);
-  // Without a codec (and on empty data, which travels uncoded) the ring
-  // runs one message per step, exactly Communicator::allreduce's wire.
-  if (codec == nullptr || data.empty()) {
-    codec = nullptr;
-    chunk_bytes = 0;
+  // Empty segments travel uncoded, and without any codec the ring runs one
+  // message per step, exactly Communicator::allreduce's wire.
+  std::vector<Segment> segs(segments.begin(), segments.end());
+  std::vector<int64_t> sizes;
+  bool coded = false;
+  for (Segment& seg : segs) {
+    if (seg.elems == 0) seg.codec = nullptr;
+    coded = coded || seg.codec != nullptr;
+    sizes.push_back(seg.elems);
   }
+  if (!coded) chunk_bytes = 0;
   if (!g.two_level() || data.empty()) {
-    allreduce_chunked(*g.world, data, chunk_bytes, op, codec);
+    allreduce_chunked(*g.world, data, segs, chunk_bytes, op);
     return;
   }
   Communicator& node = *g.node;
   const int gsz = node.size();
-  const int64_t total = static_cast<int64_t>(data.size());
 
   // Stage 1: intra-node ring reduce-scatter — local rank r ends up owning
-  // the node-wide reduction of chunk r — then the chunks converge on the
-  // node leader, which reassembles the full node sum in place. (This
-  // reduce-scatter + gather pair is a reduce-to-leader at ring bandwidth.)
-  const std::vector<float> chunk = node.reduce_scatter(data, op);
+  // the node-wide reduction of chunk r of every segment — then the chunks
+  // converge on the node leader, which reassembles the full node sum in
+  // place. (This reduce-scatter + gather pair is a reduce-to-leader at
+  // ring bandwidth.)
+  const std::vector<float> chunk = node.reduce_scatter(data, sizes, op);
   Bytes mine = node.pool().acquire(chunk.size() * sizeof(float));
   if (!mine.empty()) std::memcpy(mine.data(), chunk.data(), mine.size());
   std::vector<Bytes> parts = node.gatherv(mine, 0);
@@ -70,19 +83,26 @@ void hierarchical_allreduce(CommGroup& g, std::span<float> data, ReduceOp op,
 
   if (node.rank() == 0) {
     for (int r = 0; r < gsz; ++r) {
-      const auto [b, e] = node.chunk_range(total, r);
       Bytes& part = parts[static_cast<size_t>(r)];
-      EMBRACE_CHECK_EQ(part.size(),
-                       static_cast<size_t>(e - b) * sizeof(float));
-      if (!part.empty()) {
-        std::memcpy(data.data() + b, part.data(), part.size());
+      size_t at = 0;
+      int64_t offset = 0;
+      for (const int64_t elems : sizes) {
+        const auto [b, e] = node.chunk_range(elems, r);
+        const size_t bytes = static_cast<size_t>(e - b) * sizeof(float);
+        EMBRACE_CHECK_LE(at + bytes, part.size());
+        if (bytes > 0) {
+          std::memcpy(data.data() + offset + b, part.data() + at, bytes);
+        }
+        at += bytes;
+        offset += elems;
       }
+      EMBRACE_CHECK_EQ(at, part.size());
       node.pool().release(std::move(part));
     }
     // Stage 2: inter-node ring AllReduce of the full node sums across the
     // leaders — the only stage that touches the expensive tier, and hence
     // the only one a wire codec compresses.
-    allreduce_chunked(*g.leaders, data, chunk_bytes, op, codec);
+    allreduce_chunked(*g.leaders, data, segs, chunk_bytes, op);
   }
 
   // Stage 3: fan the finished vector back out within the node. This also

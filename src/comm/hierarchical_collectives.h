@@ -30,6 +30,7 @@
 #include <span>
 #include <vector>
 
+#include "comm/chunked_collectives.h"
 #include "comm/codec.h"
 #include "comm/comm_group.h"
 
@@ -48,6 +49,17 @@ namespace embrace::comm {
 void hierarchical_allreduce(CommGroup& g, std::span<float> data,
                             ReduceOp op = ReduceOp::kSum,
                             const Codec* codec = nullptr,
+                            int64_t chunk_bytes = 0);
+
+// Segmented form (see Segment, comm/chunked_collectives.h): `segments` tile
+// `data`, each with its own codec, and every segment's result is bitwise
+// what the single-codec call above returns on it alone. The segment list
+// rides all three stages — the intra-node reduce-scatter, the gather to
+// the leader and the leader ring — so each stage sends one message per
+// step however many segments there are.
+void hierarchical_allreduce(CommGroup& g, std::span<float> data,
+                            std::span<const Segment> segments,
+                            ReduceOp op = ReduceOp::kSum,
                             int64_t chunk_bytes = 0);
 
 // Two-level AlltoAllv: send[i] goes to world rank i; returns payloads

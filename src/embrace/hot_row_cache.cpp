@@ -97,12 +97,16 @@ void HotRowCache::sync(comm::Communicator& comm, const comm::Codec* codec) {
     return;
   }
   // Scatter this rank's pending gradients into a dense (hot × dim) block
-  // plus a presence vector. The values ride the chunked, codec-aware
-  // AllReduce (the same wire the dense gradients use); presence travels
-  // exact — it decides which rows the optimizer sees (absent rows must not
-  // decay Adam's moments), and a lossy codec must not corrupt membership.
-  std::vector<float> values(static_cast<size_t>(hot * dim), 0.0f);
-  std::vector<float> presence(static_cast<size_t>(hot), 0.0f);
+  // plus a presence vector, laid end to end in one buffer and reduced by
+  // one chunked AllReduce as two segments: the values ride the codec (the
+  // same wire the dense gradients use); presence travels exact, as a
+  // null-codec segment — it decides which rows the optimizer sees (absent
+  // rows must not decay Adam's moments), and a lossy codec must not
+  // corrupt membership.
+  std::vector<float> wire(static_cast<size_t>(hot * dim + hot), 0.0f);
+  const std::span<float> values(wire.data(), static_cast<size_t>(hot * dim));
+  const std::span<float> presence(wire.data() + hot * dim,
+                                  static_cast<size_t>(hot));
   const SparseRows mine = pending_.coalesced();
   pending_ = SparseRows::empty(vocab, dim);
   for (int64_t k = 0; k < mine.nnz_rows(); ++k) {
@@ -113,9 +117,9 @@ void HotRowCache::sync(comm::Communicator& comm, const comm::Codec* codec) {
               values.begin() + static_cast<ptrdiff_t>(slot * dim));
     presence[static_cast<size_t>(slot)] = 1.0f;
   }
-  comm::allreduce_chunked(comm, values, cfg_.chunk_bytes, comm::ReduceOp::kSum,
-                          codec);
-  comm.allreduce(presence);
+  const comm::Segment segments[] = {{.elems = hot * dim, .codec = codec},
+                                    {.elems = hot}};
+  comm::allreduce_chunked(comm, wire, segments, cfg_.chunk_bytes);
   sync_bytes_counter().add(hot * dim * 4 + hot * 4);
   // Assemble the coalesced union gradient (rows any rank touched) and
   // apply it as one full update — the replica stays bit-identical across

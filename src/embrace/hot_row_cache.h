@@ -88,11 +88,11 @@ class HotRowCache {
 
  private:
   int64_t slot_of(int64_t row) const;  // index into hot_rows_, -1 if cold
-  // Allreduces pending hot gradients (dense hot×dim values via the
-  // chunked codec-aware path + exact presence counts) and applies one
-  // kFull update to the replica. Always advances the replica optimizer —
-  // also on an empty hot set — to keep its step counter in lockstep with
-  // the shard optimizer's.
+  // Allreduces pending hot gradients in one chunked AllReduce of two
+  // segments (dense hot×dim values through the codec + exact presence
+  // counts) and applies one kFull update to the replica. Always advances
+  // the replica optimizer — also on an empty hot set — to keep its step
+  // counter in lockstep with the shard optimizer's.
   void sync(comm::Communicator& comm, const comm::Codec* codec);
   // Membership epoch switch: allreduce the access vote, pick the new hot
   // set (top-count, ties to the lower row id, cut priced by `picker`),

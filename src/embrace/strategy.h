@@ -152,10 +152,12 @@ struct TrainConfig {
   // can be lossy.
   bool codec_error_feedback = true;
 
-  // Tensor fusion (bucketing) for the dense gradients: when > 0, dense
-  // parameter gradients are packed in backward-pass order into buckets of
-  // at most this many bytes and one collective carries each bucket
-  // (0 = one op per tensor).
+  // Tensor fusion for the dense gradients. Every step syncs all dense
+  // gradients in one op over one buffer (backward-pass order); when > 0,
+  // they are cut into segments of at most this many bytes (0 = one
+  // segment per tensor). A segment is reduced as one tensor: it fixes the
+  // float summation bracketing and the codec's (top-k's) selection scope.
+  // The message count does not depend on it.
   int64_t fusion_bytes = 0;
 
   // Hot-row embedding cache (DESIGN.md §15), hybrid strategies only

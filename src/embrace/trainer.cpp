@@ -136,13 +136,6 @@ std::vector<int64_t> targets_of(const data::Batch& batch, int64_t classes) {
   return targets;
 }
 
-float global_mean_loss(comm::Communicator& main_ch, float local_loss,
-                       int workers) {
-  std::vector<float> v{local_loss};
-  main_ch.allreduce(v);
-  return v[0] / static_cast<float>(workers);
-}
-
 // Per-step op names (unique across steps for the scheduler's backlog).
 std::string dense_op(int step, size_t fp_index) {
   return "dense/s" + std::to_string(step) + "/" + std::to_string(fp_index);
@@ -484,28 +477,32 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
                             head_rng);
   auto head_params = head->parameters();
   auto dense_opt = make_dense_optim(cfg, head_params);
-  // Dense gradient buckets: contiguous runs of the BP-ordered (reverse
-  // parameter order) gradients up to fusion_bytes, so each bucket becomes
-  // ready as soon as its last (earliest-FP) member's gradient lands.
-  // fusion_bytes == 0 gives every tensor its own bucket. Bucket g's
-  // FP-order index, head_buckets.size() - 1 - g, names the op, sets its
-  // priority and keys its error-feedback residual.
-  std::vector<FusionGroup> head_buckets;
+  // Dense gradients: one flat buffer of every head gradient in BP order
+  // (reverse parameter order), synced by one op per step. fusion_bytes cuts
+  // it into segments, contiguous runs of tensors up to that many bytes
+  // (fusion_bytes == 0: one tensor per segment). A segment fixes a
+  // reduction's block bracketing and its codec/top-k scope, and keys its
+  // error-feedback residual by its FP-order index, dense_segments.size() -
+  // 1 - g; every segment rides the same ring messages.
+  std::vector<Tensor*> bp_grads;
+  std::vector<comm::Segment> dense_segments;
   {
-    std::vector<Tensor*> grads;
     std::vector<int64_t> grad_bytes;
     for (size_t i = head_params.size(); i-- > 0;) {
-      grads.push_back(&head_params[i]->grad);
+      bp_grads.push_back(&head_params[i]->grad);
       grad_bytes.push_back(static_cast<int64_t>(
           head_params[i]->grad.flat().size() * sizeof(float)));
     }
     for (const auto& [b, e] :
          comm::plan_buckets(grad_bytes, cfg.fusion_bytes)) {
-      head_buckets.emplace_back(std::vector<Tensor*>(
-          grads.begin() + static_cast<std::ptrdiff_t>(b),
-          grads.begin() + static_cast<std::ptrdiff_t>(e)));
+      int64_t elems = 0;
+      for (size_t i = b; i < e; ++i) {
+        elems += grad_bytes[i] / static_cast<int64_t>(sizeof(float));
+      }
+      dense_segments.push_back({.elems = elems, .codec = dense_codec});
     }
   }
+  FusionGroup head_grads(bp_grads);
 
   auto loader = data::make_corpus_loader(corpus_config(cfg), rank,
                                          cfg.batch_per_worker);
@@ -637,62 +634,70 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     // step's sparse ops outrank its dense ops by priority alone.
     sched::NegotiatedScheduler::Batch gradients(scheduler);
 
-    // --- dense gradient communication, one wait-free op per bucket ---
-    // Submitted in BP-emission order. The bucket is flattened on the comm
-    // thread right before its first wire quantum (then error feedback,
-    // keyed by the bucket's stable FP index), and averaged and written back
-    // after the last. The whole op runs hierarchical_allreduce, which is the
-    // flat ring without a two-level topology. With chunk_bytes > 0 it runs
-    // as ChunkedAllReduce quanta on the flat ring instead, so higher-priority
-    // sparse ops preempt it at chunk boundaries (slicing the two-level
-    // stages is ROADMAP carried item (b)); without a two-level topology the
-    // sum is bitwise-identical either way.
-    for (size_t g = 0; g < head_buckets.size(); ++g) {
-      const size_t fp_index = head_buckets.size() - 1 - g;
-      FusionGroup* bucket = &head_buckets[g];
+    // --- dense gradient communication, one wait-free op ---
+    // The gradients are flattened on the comm thread right before the
+    // first wire quantum (then error feedback per segment), and averaged
+    // and written back after the last. The fused head emits every
+    // gradient in one burst and dense_opt->step() waits for all of them,
+    // so per-tensor ops would buy no overlap, only α per tensor. The whole
+    // op runs hierarchical_allreduce, which is the flat ring without a
+    // two-level topology. With chunk_bytes > 0 it runs as ChunkedAllReduce
+    // quanta on the flat ring instead, so higher-priority sparse ops
+    // preempt it at chunk boundaries (slicing the two-level stages is
+    // ROADMAP carried item (b)); without a two-level topology the sum is
+    // bitwise-identical either way.
+    {
       auto flat = std::make_shared<std::vector<float>>();
-      auto prepare = [&dense_ef, dense_codec, bucket, flat,
-                      ef = dense_codec != nullptr && cfg.codec_error_feedback,
-                      key = static_cast<int64_t>(fp_index)] {
-        *flat = bucket->flatten();
-        if (ef) dense_ef.apply(key, *flat, *dense_codec);
+      auto prepare = [&dense_ef, &dense_segments, &head_grads, dense_codec,
+                      flat,
+                      ef = dense_codec != nullptr && cfg.codec_error_feedback] {
+        *flat = head_grads.flatten();
+        if (ef) {
+          size_t offset = 0;
+          for (size_t g = 0; g < dense_segments.size(); ++g) {
+            const auto elems = static_cast<size_t>(dense_segments[g].elems);
+            dense_ef.apply(
+                static_cast<int64_t>(dense_segments.size() - 1 - g),
+                std::span<float>(*flat).subspan(offset, elems), *dense_codec);
+            offset += elems;
+          }
+        }
         return std::span<float>(*flat);
       };
-      auto finish = [bucket, flat, inv_n] {
+      auto finish = [&head_grads, flat, inv_n] {
         for (float& v : *flat) v *= inv_n;
-        bucket->unflatten(*flat);
+        head_grads.unflatten(*flat);
       };
       sched::OpDesc desc = make_desc(
-          dense_op(step, fp_index),
-          fifo ? fifo_priority() : Priorities::dense(step, fp_index),
-          bucket->byte_size(), sched::OpKind::kDense);
+          dense_op(step, 0),
+          fifo ? fifo_priority() : Priorities::dense(step, 0),
+          head_grads.byte_size(), sched::OpKind::kDense);
       if (cfg.chunk_bytes <= 0) {
         dense_handles.push_back(scheduler.submit(
-            std::move(desc), [&group, dense_codec, prepare, finish] {
-              comm::hierarchical_allreduce(group, prepare(),
-                                           comm::ReduceOp::kSum, dense_codec);
+            std::move(desc), [&group, &dense_segments, prepare, finish] {
+              comm::hierarchical_allreduce(group, prepare(), dense_segments);
               finish();
             }));
-        continue;
+      } else {
+        const int64_t slices = comm::ChunkedAllReduce::num_quanta(
+            dense_segments, workers, cfg.chunk_bytes);
+        auto cursor =
+            std::make_shared<std::optional<comm::ChunkedAllReduce>>();
+        dense_handles.push_back(scheduler.submit(
+            std::move(desc), slices,
+            [&comm_ch, &dense_segments, cursor, slices,
+             chunk_bytes = cfg.chunk_bytes, prepare, finish](int64_t i) {
+              if (i == 0) {
+                cursor->emplace(comm_ch, prepare(), dense_segments,
+                                chunk_bytes);
+              }
+              (*cursor)->run_quantum(i);
+              if (i + 1 == slices) {
+                cursor->reset();
+                finish();
+              }
+            }));
       }
-      const int64_t slices = comm::ChunkedAllReduce::num_quanta(
-          bucket->byte_size() / static_cast<int64_t>(sizeof(float)), workers,
-          cfg.chunk_bytes);
-      auto cursor = std::make_shared<std::optional<comm::ChunkedAllReduce>>();
-      dense_handles.push_back(scheduler.submit(
-          std::move(desc), slices,
-          [&comm_ch, cursor, slices, chunk_bytes = cfg.chunk_bytes,
-           dense_codec, prepare, finish](int64_t i) {
-            if (i == 0) {
-              cursor->emplace(comm_ch, prepare(), chunk_bytes,
-                              comm::ReduceOp::kSum, dense_codec);
-            }
-            (*cursor)->run_quantum(i);
-            if (i + 1 == slices) {
-              cursor->reset();
-              finish();
-            }
-          }));
     }
 
     // --- sparse gradient communication, one stream per table ---
@@ -888,12 +893,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     timed_wait(emb_handles, "stall.sparse");
     stall_hist.observe(acc.phase_ms(obs::Phase::kCommWait));
     steps_done.increment();
-    {
-      // The loss allreduce blocks on every peer reaching the same point —
-      // comm wait, same as the handle waits.
-      obs::PhaseScope wait(acc, obs::Phase::kCommWait);
-      local_losses.push_back(global_mean_loss(main_ch, local_loss, workers));
-    }
+    local_losses.push_back(local_loss);
     loader.advance();
 
     if (cfg.perf_profile) {
@@ -929,6 +929,15 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
       }
     }
   }
+  // Every step's global mean loss in one ring after the loop, off the
+  // step's critical path: one one-element segment per step, each reduced
+  // exactly as a lone per-step allreduce would be, so the bits match at
+  // every world size.
+  const std::vector<comm::Segment> loss_segments(local_losses.size(),
+                                                 comm::Segment{.elems = 1});
+  comm::allreduce_chunked(main_ch, local_losses, loss_segments,
+                          /*chunk_bytes=*/0);
+  for (float& loss : local_losses) loss /= static_cast<float>(workers);
   } catch (...) {
     // Failure path (DESIGN.md §8): a collective timed out or an op body
     // threw. Tear down the local scheduler without negotiating with

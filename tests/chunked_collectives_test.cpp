@@ -8,7 +8,9 @@
 // injection and interleaved with other traffic on the same channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "comm/chunk_plan.h"
@@ -175,6 +177,152 @@ TEST(ChunkedAllReduce, SurvivesRecoverableFaultInjection) {
           << "rank " << c.rank() << " seed " << seed;
     });
   }
+}
+
+// --- segmented rings ---
+
+// Segment sizes covering the edge cases: empty and one-element segments,
+// segments smaller and larger than one 256-byte slice, and odd lengths (an
+// odd fp16 slice leaves the next raw segment misaligned in the message).
+const std::vector<int64_t> kSegmentElems = {0, 1, 37, 300, 1, 129};
+
+// One codec list per case: all null, all fp16, all top-k, and a mix.
+std::vector<std::vector<const Codec*>> codec_lists(const Codec* fp16,
+                                                   const Codec* topk) {
+  const size_t n = kSegmentElems.size();
+  std::vector<const Codec*> mixed;
+  for (size_t i = 0; i < n; ++i) {
+    const Codec* cycle[] = {nullptr, fp16, topk};
+    mixed.push_back(cycle[i % 3]);
+  }
+  return {std::vector<const Codec*>(n, nullptr),
+          std::vector<const Codec*>(n, fp16),
+          std::vector<const Codec*>(n, topk), mixed};
+}
+
+std::vector<Segment> segments_of(const std::vector<const Codec*>& codecs) {
+  std::vector<Segment> segs;
+  for (size_t i = 0; i < kSegmentElems.size(); ++i) {
+    segs.push_back({.elems = kSegmentElems[i], .codec = codecs[i]});
+  }
+  return segs;
+}
+
+// Messages one rank sends in a flat segmented ring: per ring step, the
+// largest slice count of any segment's send block.
+int64_t expected_ring_messages(const std::vector<Segment>& segs, int world,
+                               int rank, int64_t chunk_bytes) {
+  const auto block_elems = [&](int64_t elems, int chunk) {
+    return elems * (chunk + 1) / world - elems * chunk / world;
+  };
+  int64_t total = 0;
+  for (int step = 0; step < 2 * (world - 1); ++step) {
+    const int s = step < world - 1 ? step : step - (world - 1);
+    const int chunk = step < world - 1 ? (rank - s - 1 + 2 * world) % world
+                                       : (rank - s + 2 * world) % world;
+    int64_t slices = 0;
+    for (const Segment& seg : segs) {
+      slices = std::max(
+          slices, ChunkPlan::over(block_elems(seg.elems, chunk), chunk_bytes)
+                      .num_chunks());
+    }
+    total += slices;
+  }
+  return total;
+}
+
+// Each segment of a segmented ring must come out bitwise equal to a lone
+// allreduce_chunked over that segment (same codec, same chunking), while
+// the ring sends one message per ring step and slice, not one per segment.
+TEST(SegmentedAllReduce, EachSegmentBitwiseEqualsLoneCall) {
+  const auto fp16 = make_codec(CodecKind::kFp16);
+  const auto topk = make_codec(CodecKind::kTopK, 0.25);
+  int64_t total = 0;
+  for (const int64_t e : kSegmentElems) total += e;
+  for (const int world : {2, 3, 4, 5}) {
+    for (const auto& codecs : codec_lists(fp16.get(), topk.get())) {
+      const std::vector<Segment> segs = segments_of(codecs);
+      for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
+        SCOPED_TRACE("world=" + std::to_string(world) +
+                     " chunk=" + std::to_string(chunk));
+        std::vector<std::vector<float>> lone(static_cast<size_t>(world));
+        {
+          Fabric fabric(world);
+          run_cluster(fabric, [&](Communicator& c) {
+            std::vector<float> out;
+            for (size_t i = 0; i < segs.size(); ++i) {
+              std::vector<float> seg =
+                  make_data(c.rank(), segs[i].elems, 31 + i);
+              allreduce_chunked(c, seg, chunk, ReduceOp::kSum,
+                                segs[i].codec);
+              out.insert(out.end(), seg.begin(), seg.end());
+            }
+            lone[static_cast<size_t>(c.rank())] = std::move(out);
+          });
+        }
+        Fabric fabric(world);
+        run_cluster(fabric, [&](Communicator& c) {
+          std::vector<float> data;
+          for (size_t i = 0; i < segs.size(); ++i) {
+            const std::vector<float> seg =
+                make_data(c.rank(), segs[i].elems, 31 + i);
+            data.insert(data.end(), seg.begin(), seg.end());
+          }
+          ASSERT_EQ(static_cast<int64_t>(data.size()), total);
+          ChunkedAllReduce cursor(c, data, segs, chunk);
+          EXPECT_EQ(cursor.num_quanta(),
+                    ChunkedAllReduce::num_quanta(segs, world, chunk));
+          cursor.run_all();
+          EXPECT_TRUE(bitwise_equal(data, lone[static_cast<size_t>(c.rank())]))
+              << "rank " << c.rank();
+        });
+        // Kmax: the slice count of the largest block of any segment.
+        int64_t kmax = 1;
+        for (const Segment& seg : segs) {
+          kmax = std::max(kmax, ChunkPlan::over((seg.elems + world - 1) / world,
+                                                chunk)
+                                    .num_chunks());
+        }
+        EXPECT_EQ(ChunkedAllReduce::num_quanta(segs, world, chunk),
+                  2 * (world - 1) * kmax);
+        for (int r = 0; r < world; ++r) {
+          const int64_t sent = fabric.traffic_from(r).messages;
+          EXPECT_EQ(sent, expected_ring_messages(segs, world, r, chunk))
+              << "rank " << r;
+          EXPECT_LE(sent, 2 * (world - 1) * kmax) << "rank " << r;
+          // Unsliced, every ring step is exactly one message.
+          if (chunk == 0) {
+            EXPECT_EQ(sent, 2 * (world - 1)) << "rank " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Presence-style exactness: a null-codec segment stays exact beside a
+// lossy top-k segment in the same messages.
+TEST(SegmentedAllReduce, NullSegmentStaysExactBesideLossySegment) {
+  constexpr int kWorld = 4;
+  constexpr int64_t kValues = 240;
+  constexpr int64_t kFlags = 60;
+  const auto topk = make_codec(CodecKind::kTopK, 0.05);
+  Fabric fabric(kWorld);
+  run_cluster(fabric, [&](Communicator& c) {
+    std::vector<float> data = make_data(c.rank(), kValues, 9);
+    std::vector<float> expected(static_cast<size_t>(kFlags), 0.0f);
+    for (int64_t k = 0; k < kFlags; ++k) {
+      for (int r = 0; r < kWorld; ++r) {
+        if ((k + r) % 3 == 0) expected[static_cast<size_t>(k)] += 1.0f;
+      }
+      data.push_back((k + c.rank()) % 3 == 0 ? 1.0f : 0.0f);
+    }
+    const Segment segs[] = {{.elems = kValues, .codec = topk.get()},
+                            {.elems = kFlags}};
+    allreduce_chunked(c, data, segs, 256);
+    const std::vector<float> flags(data.begin() + kValues, data.end());
+    EXPECT_EQ(flags, expected) << "rank " << c.rank();
+  });
 }
 
 TEST(ChunkPlan, CoversEveryElementInOrder) {

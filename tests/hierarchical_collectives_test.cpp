@@ -13,9 +13,14 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "comm/chunked_collectives.h"
 #include "comm/cluster.h"
+#include "comm/codec.h"
 #include "comm/comm_group.h"
 #include "comm/communicator.h"
 #include "comm/fabric.h"
@@ -180,6 +185,86 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(p.param.nodes) + "x" +
              std::to_string(p.param.gpus_per_node);
     });
+
+// Segmented two-level AllReduce on a 2×2 group: every segment bitwise
+// equal to a lone hierarchical_allreduce over it (same codec, same
+// chunking) — on arbitrary floats, so the per-segment block bracketing of
+// all three stages is checked, not only exact sums — while each stage
+// sends one message per step for all segments together.
+TEST(HierarchicalSegmented, EachSegmentBitwiseEqualsLoneCall) {
+  const std::vector<int64_t> sizes = {0, 1, 37, 300, 1, 129};
+  const auto fp16 = make_codec(CodecKind::kFp16);
+  const auto topk = make_codec(CodecKind::kTopK, 0.25);
+  const Codec* cycle[] = {nullptr, fp16.get(), topk.get()};
+  for (int list = 0; list < 4; ++list) {
+    // Lists 0-2: every segment on one codec; list 3: a mix.
+    std::vector<Segment> segs;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      const int pick = list < 3 ? list : static_cast<int>(i % 3);
+      segs.push_back({.elems = sizes[i], .codec = cycle[pick]});
+    }
+    for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
+      SCOPED_TRACE("list=" + std::to_string(list) +
+                   " chunk=" + std::to_string(chunk));
+      const auto input = [&](int rank, size_t i) {
+        Rng rng(1000 + 17 * static_cast<uint64_t>(rank) + i);
+        std::vector<float> v(static_cast<size_t>(sizes[i]));
+        for (auto& x : v) x = static_cast<float>(rng.next_double(-2.0, 2.0));
+        return v;
+      };
+      // Each fabric runs the group build plus one variant: the lone calls,
+      // the segmented call, or one uncoded call over the whole buffer.
+      const auto run = [&](auto&& body) {
+        Fabric fabric(4);
+        fabric.set_topology(make_topo(2, 2), LinkCost{}, LinkCost{});
+        std::vector<std::vector<float>> out(4);
+        run_cluster(fabric, [&](Communicator& comm) {
+          CommGroup g = build_comm_group(comm);
+          ASSERT_TRUE(g.two_level());
+          std::vector<float> data;
+          for (size_t i = 0; i < segs.size(); ++i) {
+            const std::vector<float> seg = input(comm.rank(), i);
+            data.insert(data.end(), seg.begin(), seg.end());
+          }
+          body(g, data);
+          out[static_cast<size_t>(comm.rank())] = std::move(data);
+        });
+        return std::make_pair(out, fabric.total_traffic().messages);
+      };
+      const auto [lone, lone_msgs] = run([&](CommGroup& g,
+                                             std::vector<float>& data) {
+        int64_t offset = 0;
+        for (const Segment& seg : segs) {
+          hierarchical_allreduce(
+              g, std::span<float>(data).subspan(
+                     static_cast<size_t>(offset),
+                     static_cast<size_t>(seg.elems)),
+              ReduceOp::kSum, seg.codec, chunk);
+          offset += seg.elems;
+        }
+      });
+      const auto [fused, fused_msgs] = run(
+          [&](CommGroup& g, std::vector<float>& data) {
+            hierarchical_allreduce(g, data, segs, ReduceOp::kSum, chunk);
+          });
+      const auto [whole, whole_msgs] = run(
+          [&](CommGroup& g, std::vector<float>& data) {
+            hierarchical_allreduce(g, data);
+          });
+      for (size_t r = 0; r < 4; ++r) {
+        ASSERT_EQ(fused[r].size(), lone[r].size());
+        EXPECT_EQ(std::memcmp(fused[r].data(), lone[r].data(),
+                              fused[r].size() * sizeof(float)),
+                  0)
+            << "rank " << r;
+      }
+      EXPECT_LT(fused_msgs, lone_msgs);
+      if (chunk == 0) {
+        EXPECT_EQ(fused_msgs, whole_msgs);
+      }
+    }
+  }
+}
 
 // One AllReduce at 4x2: the two-level schedule must put strictly fewer
 // messages AND bytes on the inter-node tier than the flat ring, and the

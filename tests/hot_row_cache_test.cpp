@@ -7,10 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <vector>
 
+#include "comm/chunked_collectives.h"
 #include "comm/cluster.h"
+#include "comm/codec.h"
 #include "common/rng.h"
 #include "embrace/hot_row_cache.h"
 #include "embrace/partitioned_embedding.h"
@@ -199,6 +202,97 @@ void expect_losses_close(const std::vector<float>& a,
     EXPECT_NEAR(a[i], b[i], tol * std::max(1.0f, std::abs(a[i])))
         << "step " << i;
   }
+}
+
+// The sync reduces values and presence in one collective, as two segments
+// of one chunked AllReduce. The replica must come out bitwise equal to the
+// two-collective sync (the codec'd values AllReduce, then an exact
+// presence AllReduce) replayed on the same inputs, and presence must stay
+// exact under a lossy codec: in round 2, row 19's tiny gradient shares a
+// top-k slice with row 18's large one and is dropped from the values, yet
+// row 19 is still present, so Adam's moments from round 1 still move it.
+TEST(HotRowCache, OneCollectiveSyncMatchesTwoCollectiveResult) {
+  constexpr int kWorld = 3;
+  const auto topk = comm::make_codec(comm::CodecKind::kTopK, 0.25);
+  HotRowCache::Config cfg = cache_config(/*budget=*/4, /*refresh=*/3,
+                                         /*staleness=*/0);
+  cfg.chunk_bytes = 64;  // 16 floats: slots 2 and 3 share a slice
+  comm::run_cluster(kWorld, [&](comm::Communicator& comm) {
+    Rig rig(comm, cfg);
+    // Three step_ends: two empty syncs, then an empty sync and the refresh
+    // that promotes {16, 17, 18, 19} (slots 0..3).
+    rig.cache->record_access({16, 17, 18, 19});
+    for (int i = 0; i < 3; ++i) rig.cache->step_end(comm, topk.get(), nullptr);
+    ASSERT_EQ(rig.cache->hot_rows(), (std::vector<int64_t>{16, 17, 18, 19}));
+    // Reference replica and optimizer at the same point: promoted rows,
+    // zero moments, three empty steps.
+    Tensor ref({kVocab, kDim});
+    for (int64_t row : rig.cache->hot_rows()) {
+      const auto src = rig.cache->row(row);
+      std::copy(src.begin(), src.end(), ref.row(row).begin());
+    }
+    nn::SparseAdam ref_opt(kVocab, kDim, /*lr=*/0.05f);
+    for (int i = 0; i < 3; ++i) {
+      ref_opt.apply(ref, SparseRows::empty(kVocab, kDim),
+                    nn::SparseStep::kFull);
+    }
+    const int r = comm.rank();
+    Rng rng(40 + static_cast<uint64_t>(r));
+    for (int round = 0; round < 2; ++round) {
+      std::vector<int64_t> ids;
+      if (round == 0) {
+        ids = r == 0 ? std::vector<int64_t>{16, 19}
+                     : std::vector<int64_t>{17, 18};
+      } else {
+        ids = r == 0 ? std::vector<int64_t>{19} : std::vector<int64_t>{18};
+      }
+      Tensor vals = Tensor::randn({static_cast<int64_t>(ids.size()), kDim},
+                                  rng);
+      if (round == 1) {
+        for (float& v : vals.flat()) v *= r == 0 ? 1e-6f : 10.0f;
+      }
+      // The two-collective sync, replayed on this rank's inputs.
+      std::vector<float> values(4 * kDim, 0.0f), presence(4, 0.0f);
+      for (size_t k = 0; k < ids.size(); ++k) {
+        const int64_t slot = ids[k] - 16;
+        const auto src = vals.row(static_cast<int64_t>(k));
+        std::copy(src.begin(), src.end(), values.begin() + slot * kDim);
+        presence[static_cast<size_t>(slot)] = 1.0f;
+      }
+      rig.cache->accumulate(SparseRows(kVocab, ids, vals));
+      rig.cache->step_end(comm, topk.get(), nullptr);
+      comm::allreduce_chunked(comm, values, cfg.chunk_bytes,
+                              comm::ReduceOp::kSum, topk.get());
+      comm.allreduce(presence);
+      std::vector<int64_t> rows;
+      std::vector<float> union_vals;
+      for (int64_t slot = 0; slot < 4; ++slot) {
+        if (presence[static_cast<size_t>(slot)] <= 0.0f) continue;
+        rows.push_back(16 + slot);
+        union_vals.insert(union_vals.end(), values.begin() + slot * kDim,
+                          values.begin() + (slot + 1) * kDim);
+      }
+      if (round == 1) {
+        // Row 19's values were dropped, its presence was not.
+        EXPECT_EQ(presence[3], 1.0f);
+        for (int64_t c = 0; c < kDim; ++c) {
+          EXPECT_EQ(values[3 * kDim + c], 0.0f);
+        }
+      }
+      const auto n = static_cast<int64_t>(rows.size());
+      ref_opt.apply(ref,
+                    SparseRows(kVocab, std::move(rows),
+                               Tensor({n, kDim}, std::move(union_vals))),
+                    nn::SparseStep::kFull);
+      for (int64_t row = 16; row < 20; ++row) {
+        const auto got = rig.cache->row(row);
+        const auto want = ref.row(row);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), kDim * sizeof(float)),
+                  0)
+            << "rank " << r << " round " << round << " row " << row;
+      }
+    }
+  });
 }
 
 TrainConfig cached_config(StrategyKind strategy) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <mutex>
 #include <thread>
 
@@ -39,13 +40,19 @@ TEST(Negotiated, SingleRankExecutesByPriority) {
       order.emplace_back(n);
     };
   };
-  // Park the comm thread on a slow op so all three are queued when it picks.
-  auto h0 = submit(sched, 0.0, "warmup", [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Park the comm thread in an op that has started (so it ran alone in its
+  // round) and holds until all three are queued, so they are queued when
+  // it picks.
+  std::latch started(1), released(1);
+  auto h0 = submit(sched, 0.0, "warmup", [&] {
+    started.count_down();
+    released.wait();
   });
+  started.wait();
   submit(sched, 5.0, "mid", body("mid"));
   submit(sched, 9.0, "low", body("low"));
   submit(sched, 1.0, "high", body("high"));
+  released.count_down();
   sched.shutdown();
   EXPECT_EQ(order, (std::vector<std::string>{"high", "mid", "low"}));
 }

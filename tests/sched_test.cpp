@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -34,14 +36,39 @@ class Scheduler : public ::testing::Test {
 };
 using SchedulerFailure = Scheduler;
 
-// Parks the comm thread inside a sleeping op so everything submitted next
-// is queued when the scheduler picks again — priority order becomes
-// observable instead of racing the comm thread.
-Handle park(NegotiatedScheduler& sched, int ms = 30) {
-  return sched.submit(desc("warmup", -1.0), [ms] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  });
-}
+// Parks the comm thread inside an op: the constructor returns once the op
+// runs (alone in its round), and the op then blocks until release(). So
+// everything submitted in between is queued when the scheduler picks
+// again — priority order becomes observable instead of racing the comm
+// thread. The destructor releases a park the test did not.
+class Park {
+ public:
+  explicit Park(NegotiatedScheduler& sched)
+      : gate_(std::make_shared<Gate>()) {
+    sched.submit(desc("warmup", -1.0), [gate = gate_] {
+      gate->started.count_down();
+      gate->released.wait();
+    });
+    gate_->started.wait();
+  }
+  Park(const Park&) = delete;
+  Park& operator=(const Park&) = delete;
+  ~Park() { release(); }
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    gate_->released.count_down();
+  }
+
+ private:
+  struct Gate {
+    std::latch started{1};
+    std::latch released{1};
+  };
+  std::shared_ptr<Gate> gate_;
+  bool released_ = false;
+};
 
 TEST_F(Scheduler, ExecutesByPriorityRegardlessOfSubmitOrder) {
   std::vector<std::string> executed;
@@ -52,11 +79,12 @@ TEST_F(Scheduler, ExecutesByPriorityRegardlessOfSubmitOrder) {
       executed.push_back(n);
     };
   };
-  (void)park(sched);
+  Park park(sched);
   // Submit out of priority order: c first.
   sched.submit(desc("c", 3.0), body("c"));
   sched.submit(desc("a", 1.0), body("a"));
   sched.submit(desc("b", 2.0), body("b"));
+  park.release();
   sched.drain();
   EXPECT_EQ(executed, (std::vector<std::string>{"a", "b", "c"}));
 }
@@ -70,10 +98,11 @@ TEST_F(Scheduler, LateUrgentSubmissionOvertakesQueuedOp) {
       executed.push_back(n);
     };
   };
-  (void)park(sched);
+  Park park(sched);
   sched.submit(desc("low", 9.0), body("low"));
   // Submitted later but more urgent: must run first.
   sched.submit(desc("high", 1.0), body("high"));
+  park.release();
   sched.drain();
   EXPECT_EQ(executed, (std::vector<std::string>{"high", "low"}));
 }
@@ -97,12 +126,13 @@ TEST_F(Scheduler, StepScopedPrioritiesRunBackToBack) {
       executed.push_back(n);
     };
   };
-  (void)park(sched);
+  Park park(sched);
   // Two steps' worth of ops, submitted out of order; step-scoped priorities
   // (1e6 * step + index) keep the cross-step order.
   sched.submit(desc("s1/x", 1e6 + 0.0), body("s1/x"));
   sched.submit(desc("s0/y", 1.0), body("s0/y"));
   sched.submit(desc("s0/x", 0.0), body("s0/x"));
+  park.release();
   sched.drain();
   EXPECT_EQ(executed,
             (std::vector<std::string>{"s0/x", "s0/y", "s1/x"}));
@@ -120,9 +150,10 @@ TEST_F(Scheduler, RecordsExecutionTimes) {
 }
 
 TEST_F(Scheduler, RejectsDuplicateNameUntilExecuted) {
-  (void)park(sched);
+  Park park(sched);
   sched.submit(desc("a", 1.0), [] {});
   EXPECT_THROW(sched.submit(desc("a", 2.0), [] {}), Error);
+  park.release();
   sched.drain();
   // Same name may be submitted again once executed.
   EXPECT_NO_THROW(sched.submit(desc("a", 1.0), [] {}));
@@ -165,11 +196,12 @@ TEST_F(SchedulerFailure, OpExceptionRethrownFromWait) {
 }
 
 TEST_F(SchedulerFailure, BacklogFailsFastAfterOpThrows) {
-  (void)park(sched);
+  Park park(sched);
   auto h_after = sched.submit(desc("after", 2.0),
                               [] { FAIL() << "must never run"; });
   auto h_boom =
       sched.submit(desc("boom", 1.0), [] { throw Error("kaput"); });
+  park.release();
   // The abandoned op's waiter must not hang: it gets a SchedulerError
   // naming the culprit, well before any watchdog.
   EXPECT_THROW(
